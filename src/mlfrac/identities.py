@@ -29,6 +29,7 @@ from .operators import (
     abr_derivative,
     abr_derivative_kernel_diff,
     gen_ml_integral,
+    opposite,
 )
 from .quadrature import QuadConfig, RealFunction, adaptive_gl
 from .special import MLParams, ml_one, ml_value
@@ -128,22 +129,21 @@ def verify_ibp_integrals(
     tol = default_tolerance() if tol is None else tol
     a, b = phi.a, phi.b
     params = _base_params(ord_, a, b, phi=phi.label, psi=psi.label)
+
+    def outer(u: RealFunction, v: RealFunction, side: Side) -> float:
+        return adaptive_gl(
+            lambda x: u.fn(x) * ab_integral(side, v, ord_, x, _INNER), a, b, _OUTER
+        )
+
+    lhs: list[float] = []
+    rhs: list[float] = []
     try:
-        lhs1 = adaptive_gl(
-            lambda x: phi.fn(x) * ab_integral(Side.Left, psi, ord_, x, _INNER), a, b, _OUTER
-        )
-        rhs1 = adaptive_gl(
-            lambda x: psi.fn(x) * ab_integral(Side.Right, phi, ord_, x, _INNER), a, b, _OUTER
-        )
-        lhs2 = adaptive_gl(
-            lambda x: phi.fn(x) * ab_integral(Side.Right, psi, ord_, x, _INNER), a, b, _OUTER
-        )
-        rhs2 = adaptive_gl(
-            lambda x: psi.fn(x) * ab_integral(Side.Left, phi, ord_, x, _INNER), a, b, _OUTER
-        )
+        for side in (Side.Left, Side.Right):
+            lhs.append(outer(phi, psi, side))
+            rhs.append(outer(psi, phi, opposite(side)))
     except MlfracError as exc:
         return _failed_report("ibp-integrals", params, tol, exc)
-    return IdentityReport("ibp-integrals", params, np.array([lhs1, lhs2]), np.array([rhs1, rhs2]), tol)
+    return IdentityReport("ibp-integrals", params, np.array(lhs), np.array(rhs), tol)
 
 
 def verify_ibp_derivatives(
@@ -188,27 +188,18 @@ def verify_caputo_ibp(
     scale = ord_.b_norm / (1.0 - ord_.alpha)
     kernel = MLParams(ord_.alpha, 1.0, 1.0)
     lam = ord_.lam
+    other = opposite(side)
+    sign = 1.0 if side is Side.Left else -1.0
     try:
-        if side is Side.Left:
-            lhs = adaptive_gl(
-                lambda t: abc_derivative(Side.Left, f, ord_, t, _INNER) * g.fn(t), a, b, _OUTER
-            )
-            integral = adaptive_gl(
-                lambda t: f.fn(t) * abr_derivative(Side.Right, g, ord_, t, _INNER), a, b, _OUTER
-            )
-            eg = lambda t: gen_ml_integral(Side.Right, kernel, lam, g, t, _INNER)
-            boundary = f.fn(b) * eg(b) - f.fn(a) * eg(a)
-            rhs = integral + scale * boundary
-        else:
-            lhs = adaptive_gl(
-                lambda t: abc_derivative(Side.Right, f, ord_, t, _INNER) * g.fn(t), a, b, _OUTER
-            )
-            integral = adaptive_gl(
-                lambda t: f.fn(t) * abr_derivative(Side.Left, g, ord_, t, _INNER), a, b, _OUTER
-            )
-            eg = lambda t: gen_ml_integral(Side.Left, kernel, lam, g, t, _INNER)
-            boundary = f.fn(b) * eg(b) - f.fn(a) * eg(a)
-            rhs = integral - scale * boundary
+        lhs = adaptive_gl(
+            lambda t: abc_derivative(side, f, ord_, t, _INNER) * g.fn(t), a, b, _OUTER
+        )
+        integral = adaptive_gl(
+            lambda t: f.fn(t) * abr_derivative(other, g, ord_, t, _INNER), a, b, _OUTER
+        )
+        eg = lambda t: gen_ml_integral(other, kernel, lam, g, t, _INNER)
+        boundary = f.fn(b) * eg(b) - f.fn(a) * eg(a)
+        rhs = integral + sign * scale * boundary
     except MlfracError as exc:
         return _failed_report("caputo-ibp", params, tol, exc)
     return IdentityReport("caputo-ibp", params, np.array([lhs]), np.array([rhs]), tol)

@@ -20,7 +20,6 @@ from .quadrature import (
     QuadConfig,
     RealFunction,
     adaptive_gl,
-    central_diff,
     rl_weighted_quad,
     rl_weighted_quad_right,
 )
@@ -146,12 +145,6 @@ def ab_integral(
     return w0 * f.fn(t) + w1 * rl_integral(side, f, ord_, t, cfg)
 
 
-def _fprime(f: RealFunction):
-    if f.deriv is not None:
-        return f.deriv
-    return lambda x: central_diff(f, x)
-
-
 def abc_derivative(
     side: Side, f: RealFunction, ord_: FracOrder, t: float, cfg: QuadConfig | None = None
 ) -> float:
@@ -162,7 +155,7 @@ def abc_derivative(
     lam = ord_.lam
     alpha = ord_.alpha
     scale = ord_.b_norm / (1.0 - alpha)
-    fp = _fprime(f)
+    fp = f.prime
     if side is Side.Left:
         if t == f.a:
             return 0.0
@@ -252,7 +245,7 @@ def rl_derivative(
         raise DomainError(f"rl_derivative requires alpha in (0, 1), got {alpha!r}")
     if not f.contains(t):
         raise DomainError(f"t={t!r} outside [{f.a!r}, {f.b!r}]")
-    fp = RealFunction(fn=_fprime(f), a=f.a, b=f.b)
+    fp = RealFunction(fn=f.prime, a=f.a, b=f.b)
     gamma_c = math.gamma(1.0 - alpha)
     if side is Side.Left:
         fa = f.fn(f.a)

@@ -25,6 +25,7 @@ from .errors import DepthExceeded, DomainError, NonFiniteIntegrand
 
 _EPS_THIRD = (2.0 ** -52) ** (1.0 / 3.0)
 _PANEL_BUDGET = 4000
+_PANEL_ORDER = 15
 
 
 @dataclass(frozen=True)
@@ -59,15 +60,12 @@ class QuadConfig:
     abs_tol: float = 1e-10
     rel_tol: float = 1e-10
     max_depth: int = 40
-    panel_order: int = 15
 
     def __post_init__(self) -> None:
         if self.abs_tol <= 0 or self.rel_tol <= 0:
             raise DomainError("quadrature tolerances must be positive")
         if self.max_depth < 1:
             raise DomainError("max_depth must be at least 1")
-        if self.panel_order < 3:
-            raise DomainError("panel_order must be at least 3")
 
 
 DEFAULT_QUAD = QuadConfig()
@@ -79,32 +77,25 @@ def _gl_rule(order: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
     return tuple(float(v) for v in x), tuple(float(v) for v in w)
 
 
-def _eval_panel(
-    f: Callable[[float], float], lo: float, hi: float, order: int
-) -> tuple[float, float]:
-    """Integral estimate of order ``order`` plus embedded order-2-lower estimate."""
+def _gl_sum(f: Callable[[float], float], mid: float, half: float, order: int) -> float:
+    """Order-``order`` Gauss-Legendre sum on [mid - half, mid + half]."""
+    xs, ws = _gl_rule(order)
+    acc = 0.0
+    for xi, wi in zip(xs, ws):
+        t = mid + half * xi
+        v = f(t)
+        if not math.isfinite(v):
+            raise NonFiniteIntegrand(f"integrand returned {v!r} at t={t!r}")
+        acc += wi * v
+    return half * acc
+
+
+def _eval_panel(f: Callable[[float], float], lo: float, hi: float) -> tuple[float, float]:
+    """Integral estimate of order _PANEL_ORDER plus the embedded order-2-lower estimate."""
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
-    xh, wh = _gl_rule(order)
-    xl, wl = _gl_rule(order - 2)
-    acc_hi = 0.0
-    for xi, wi in zip(xh, wh):
-        v = f(mid + half * xi)
-        if not math.isfinite(v):
-            raise NonFiniteIntegrand(
-                f"integrand returned {v!r} at t={mid + half * xi!r}"
-            )
-        acc_hi += wi * v
-    acc_lo = 0.0
-    for xi, wi in zip(xl, wl):
-        v = f(mid + half * xi)
-        if not math.isfinite(v):
-            raise NonFiniteIntegrand(
-                f"integrand returned {v!r} at t={mid + half * xi!r}"
-            )
-        acc_lo += wi * v
-    value = half * acc_hi
-    return value, abs(value - half * acc_lo)
+    value = _gl_sum(f, mid, half, _PANEL_ORDER)
+    return value, abs(value - _gl_sum(f, mid, half, _PANEL_ORDER - 2))
 
 
 def adaptive_gl(
@@ -120,7 +111,7 @@ def adaptive_gl(
     if lo > hi:
         raise DomainError(f"adaptive_gl needs lo <= hi, got [{lo!r}, {hi!r}]")
 
-    value, err = _eval_panel(f, lo, hi, cfg.panel_order)
+    value, err = _eval_panel(f, lo, hi)
     # heap entries: (-err, seq, lo, hi, depth, value, err)
     heap = [(-err, 0, lo, hi, 0, value, err)]
     total = value
@@ -141,7 +132,7 @@ def adaptive_gl(
         total -= pval
         total_err -= perr
         for qlo, qhi in ((plo, mid), (mid, phi)):
-            qval, qerr = _eval_panel(f, qlo, qhi, cfg.panel_order)
+            qval, qerr = _eval_panel(f, qlo, qhi)
             heapq.heappush(heap, (-qerr, seq, qlo, qhi, depth + 1, qval, qerr))
             seq += 1
             total += qval

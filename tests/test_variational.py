@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from mlfrac import variational
 from mlfrac.errors import DegenerateOrder, DivergenceError, DomainError
 from mlfrac.operators import (
     FracOrder,
@@ -183,9 +184,29 @@ class TestFractionalVelocity:
         fv = fractional_velocity(grid, HALF)
         interp = grid.to_real_function()
         cfg = QuadConfig(abs_tol=1e-7, rel_tol=1e-7)
-        for t in (0.35, 0.8):
+        # t = a, inside the first cell, between nodes, on a node, t = b
+        for t in (0.0, 0.05, 0.35, float(ts[5]), 0.8, 1.0):
             direct = abc_derivative(Side.Left, interp, HALF, t, cfg)
             assert abs(fv.fn(t) - direct) <= 1e-6
+
+    def test_one_kernel_call_per_node_below_t(self, monkeypatch):
+        # t in (x_m, x_{m+1}] sees the m+1 slope jumps at x_0..x_m
+        calls = []
+        real = variational.ml_value
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(variational, "ml_value", counted)
+        n = 12
+        ts = np.linspace(0.0, 1.0, n + 1)
+        fv = fractional_velocity(GridFunction(0.0, 1.0, n, ts**2), HALF)
+        for m, t in ((0, 0.05), (4, float(ts[5])), (6, 0.55), (11, 1.0)):
+            for evaluate in (fv.fn, fv.deriv):
+                calls.clear()
+                evaluate(t)
+                assert len(calls) == m + 1
 
     def test_derivative_consistency(self):
         n = 12
@@ -196,6 +217,9 @@ class TestFractionalVelocity:
             h = 1e-6
             fd = (fv.fn(t + h) - fv.fn(t - h)) / (2.0 * h)
             assert abs(fv.deriv(t) - fd) <= 1e-5
+        # one ulp above a node the derivative takes the node's slope jump
+        node = float(ts[5])
+        assert abs(fv.deriv(math.nextafter(node, 2.0)) - fv.deriv(node + 1e-10)) <= 1e-4
 
 
 def test_quadratic_potential_el_decomposition():
