@@ -2,7 +2,8 @@
 identity verification suite, and solve the worked variational problems.
 
 Exit codes: 0 success, 1 at least one verification report failed, 2 usage
-error, 3 numeric error from the underlying modules.
+error, 3 numeric error from the underlying modules or an ``ml`` value whose
+series lost its digits to cancellation (``precision_flag``).
 """
 
 from __future__ import annotations
@@ -230,6 +231,21 @@ def _emit(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _finite_or_null(obj):
+    """Replace non-finite floats with None, so strict JSON readers accept the output."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _finite_or_null(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_or_null(v) for v in obj]
+    return obj
+
+
+def _json_text(payload) -> str:
+    return json.dumps(_finite_or_null(payload), indent=2, allow_nan=False) + "\n"
+
+
 def _grid_csv(grid: GridFunction) -> str:
     lines = ["t,value"]
     singular = set(grid.singular)
@@ -252,7 +268,7 @@ def _grid_json(grid: GridFunction, extra: dict | None = None) -> str:
     }
     if extra:
         payload.update(extra)
-    return json.dumps(payload, indent=2) + "\n"
+    return _json_text(payload)
 
 
 def _eval_grid(op, a: float, b: float, n: int) -> GridFunction:
@@ -278,9 +294,16 @@ def _run_ml(spec: RunSpec) -> int:
             "max_term_magnitude": result.max_term_magnitude,
             "precision_flag": result.precision_flag,
         }
-        _emit(json.dumps(payload, indent=2) + "\n", spec.out_path)
+        _emit(_json_text(payload), spec.out_path)
     else:
         _emit(f"{result.value:.17g}\n", spec.out_path)
+    if result.precision_flag:
+        print(
+            f"error: series cancellation: value {result.value:.6g} against "
+            f"max_term_magnitude {result.max_term_magnitude:.6g}",
+            file=sys.stderr,
+        )
+        return 3
     return 0
 
 
@@ -342,7 +365,7 @@ def _run_verify(spec: RunSpec) -> int:
         )
     dicts = [r.to_json_dict() for r in reports]
     payload = dicts[0] if len(dicts) == 1 else dicts
-    _emit(json.dumps(payload, indent=2) + "\n", spec.out_path)
+    _emit(_json_text(payload), spec.out_path)
     return 0 if all(r.passed for r in reports) else 1
 
 

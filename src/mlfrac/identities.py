@@ -189,7 +189,6 @@ def verify_caputo_ibp(
     kernel = MLParams(ord_.alpha, 1.0, 1.0)
     lam = ord_.lam
     other = opposite(side)
-    sign = 1.0 if side is Side.Left else -1.0
     try:
         lhs = adaptive_gl(
             lambda t: abc_derivative(side, f, ord_, t, _INNER) * g.fn(t), a, b, _OUTER
@@ -199,7 +198,7 @@ def verify_caputo_ibp(
         )
         eg = lambda t: gen_ml_integral(other, kernel, lam, g, t, _INNER)
         boundary = f.fn(b) * eg(b) - f.fn(a) * eg(a)
-        rhs = integral + sign * scale * boundary
+        rhs = integral + side.sign * scale * boundary
     except MlfracError as exc:
         return _failed_report("caputo-ibp", params, tol, exc)
     return IdentityReport("caputo-ibp", params, np.array([lhs]), np.array([rhs]), tol)
@@ -226,14 +225,15 @@ def verify_caputo_rl_relation(
     params["h"] = h
     scale = ord_.b_norm / (1.0 - ord_.alpha)
     lam = ord_.lam
-    anchor_val = f.fn(a) if side is Side.Left else f.fn(b)
+    anchor = side.anchor(f)
+    anchor_val = f.fn(anchor)
     try:
         ts = _interior_grid(a, b, grid_points)
         lhs = [abc_derivative(side, f, ord_, t, _TIGHT) for t in ts]
         rhs = []
         for t in ts:
             abr_indep = abr_derivative_kernel_diff(side, f, ord_, t, _TIGHT, h=h)
-            dist = (t - a) if side is Side.Left else (b - t)
+            dist = abs(t - anchor)
             rhs.append(abr_indep - scale * anchor_val * ml_one(ord_.alpha, lam * dist**ord_.alpha))
     except MlfracError as exc:
         return _failed_report("caputo-rl-relation", params, tol, exc)
@@ -258,7 +258,7 @@ def verify_inverse_and_fundamental(
     params = _base_params(ord_, a, b, f=f.label)
     params["side"] = side.name
     params["compositions"] = ("D.I", "I.D", "I.Dc")
-    anchor_val = f.fn(a) if side is Side.Left else f.fn(b)
+    anchor_val = f.fn(side.anchor(f))
     try:
         ts = _interior_grid(a, b, grid_points, margin=0.15)
         abi_f = RealFunction(

@@ -1,6 +1,11 @@
 """Classical and Mittag-Leffler-kernel fractional operators, left and right.
 
-All operators are pure functions of (side, function, order, point).  The
+All operators are pure functions of (side, function, order, point).  Each
+body is written once: the side supplies the anchor (``f.a`` on the left,
+``f.b`` on the right) and a sign, so the distance from a point x to the
+evaluation point t is ``side.sign * (t - x)``.  The right operators are the
+reflections of the left ones, (Qf)(t) = f(a+b-t), but are computed on their
+own interval and operand, never through ``q_reflect``.  The
 Riemann-Liouville-type derivative with ML kernel is computed through its
 relation to the Caputo-type one (Caputo part plus an anchor boundary term),
 which avoids differentiating a quadrature; an independent d/dt evaluation is
@@ -16,13 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateOrder, DomainError, SingularityError
-from .quadrature import (
-    QuadConfig,
-    RealFunction,
-    adaptive_gl,
-    rl_weighted_quad,
-    rl_weighted_quad_right,
-)
+from .quadrature import QuadConfig, RealFunction, adaptive_gl, rl_weighted_quad
 from .special import MLParams, ml_one, ml_value
 
 #: ML-kernel operators reject orders at or above this value: the kernel rate
@@ -35,6 +34,15 @@ class Side(enum.Enum):
 
     Left = enum.auto()
     Right = enum.auto()
+
+    @property
+    def sign(self) -> float:
+        """+1 on the left, -1 on the right: the distance to t is sign * (t - x)."""
+        return 1.0 if self is Side.Left else -1.0
+
+    def anchor(self, f: RealFunction) -> float:
+        """The fixed integration limit: f.a on the left, f.b on the right."""
+        return f.a if self is Side.Left else f.b
 
 
 def opposite(side: Side) -> Side:
@@ -129,9 +137,7 @@ def rl_integral(
     """Classical Riemann-Liouville fractional integral of order ord_.alpha."""
     if not f.contains(t):
         raise DomainError(f"t={t!r} outside [{f.a!r}, {f.b!r}]")
-    if side is Side.Left:
-        return rl_weighted_quad(f, ord_.alpha, f.a, t, cfg)
-    return rl_weighted_quad_right(f, ord_.alpha, t, f.b, cfg)
+    return rl_weighted_quad(f, ord_.alpha, side.anchor(f), t, cfg)
 
 
 def ab_integral(
@@ -156,15 +162,11 @@ def abc_derivative(
     alpha = ord_.alpha
     scale = ord_.b_norm / (1.0 - alpha)
     fp = f.prime
-    if side is Side.Left:
-        if t == f.a:
-            return 0.0
-        integrand = lambda x: fp(x) * ml_one(alpha, lam * (t - x) ** alpha)
-        return scale * adaptive_gl(integrand, f.a, t, cfg)
-    if t == f.b:
+    anchor, sign = side.anchor(f), side.sign
+    if t == anchor:
         return 0.0
-    integrand = lambda x: fp(x) * ml_one(alpha, lam * (x - t) ** alpha)
-    return -scale * adaptive_gl(integrand, t, f.b, cfg)
+    integrand = lambda x: fp(x) * ml_one(alpha, lam * (sign * (t - x)) ** alpha)
+    return sign * scale * adaptive_gl(integrand, min(anchor, t), max(anchor, t), cfg)
 
 
 def abr_derivative(
@@ -179,12 +181,9 @@ def abr_derivative(
     _require_kernel_order(ord_)
     scale = ord_.b_norm / (1.0 - ord_.alpha)
     caputo = abc_derivative(side, f, ord_, t, cfg)
-    if side is Side.Left:
-        dist = t - f.a
-        boundary = f.fn(f.a)
-    else:
-        dist = f.b - t
-        boundary = f.fn(f.b)
+    anchor = side.anchor(f)
+    dist = abs(t - anchor)
+    boundary = f.fn(anchor)
     return caputo + scale * boundary * ml_one(ord_.alpha, ord_.lam * dist**ord_.alpha)
 
 
@@ -211,26 +210,17 @@ def abr_derivative_kernel_diff(
     if not (f.a + h <= t <= f.b - h):
         raise DomainError(f"need a+h <= t <= b-h for the d/dt step, got t={t!r}")
 
-    if side is Side.Left:
-        def kernel_integral(tau: float) -> float:
-            return adaptive_gl(
-                lambda x: f.fn(x) * ml_one(alpha, lam * (tau - x) ** alpha),
-                f.a,
-                tau,
-                cfg,
-            )
-
-        return scale * (kernel_integral(t + h) - kernel_integral(t - h)) / (2.0 * h)
+    anchor, sign = side.anchor(f), side.sign
 
     def kernel_integral(tau: float) -> float:
         return adaptive_gl(
-            lambda x: f.fn(x) * ml_one(alpha, lam * (x - tau) ** alpha),
-            tau,
-            f.b,
+            lambda x: f.fn(x) * ml_one(alpha, lam * (sign * (tau - x)) ** alpha),
+            min(anchor, tau),
+            max(anchor, tau),
             cfg,
         )
 
-    return -scale * (kernel_integral(t + h) - kernel_integral(t - h)) / (2.0 * h)
+    return sign * scale * (kernel_integral(t + h) - kernel_integral(t - h)) / (2.0 * h)
 
 
 def rl_derivative(
@@ -238,8 +228,8 @@ def rl_derivative(
 ) -> float:
     """Classical RL derivative of order alpha in (0, 1), differentiated form.
 
-    Left: f(a)(t-a)^(-alpha)/Gamma(1-alpha) + I^(1-alpha)[f'](t); the right
-    side mirrors with the -d/dt sign convention baked in.
+    f(c)|t-c|^(-alpha)/Gamma(1-alpha) + sign * I^(1-alpha)[f'](t) with the
+    anchor c; the side sign carries the -d/dt convention of the right side.
     """
     if not (0.0 < alpha < 1.0):
         raise DomainError(f"rl_derivative requires alpha in (0, 1), got {alpha!r}")
@@ -247,26 +237,17 @@ def rl_derivative(
         raise DomainError(f"t={t!r} outside [{f.a!r}, {f.b!r}]")
     fp = RealFunction(fn=f.prime, a=f.a, b=f.b)
     gamma_c = math.gamma(1.0 - alpha)
-    if side is Side.Left:
-        fa = f.fn(f.a)
-        if t == f.a:
-            if fa != 0.0:
-                raise SingularityError(
-                    "left RL derivative is unbounded at t = a when f(a) != 0"
-                )
-            return 0.0
-        return fa * (t - f.a) ** (-alpha) / gamma_c + rl_weighted_quad(
-            fp, 1.0 - alpha, f.a, t, cfg
-        )
-    fb = f.fn(f.b)
-    if t == f.b:
-        if fb != 0.0:
+    anchor = side.anchor(f)
+    f_anchor = f.fn(anchor)
+    if t == anchor:
+        if f_anchor != 0.0:
             raise SingularityError(
-                "right RL derivative is unbounded at t = b when f(b) != 0"
+                f"{side.name.lower()} RL derivative is unbounded at the anchor "
+                f"t = {anchor!r} when f there is nonzero"
             )
         return 0.0
-    return fb * (f.b - t) ** (-alpha) / gamma_c - rl_weighted_quad_right(
-        fp, 1.0 - alpha, t, f.b, cfg
+    return f_anchor * abs(t - anchor) ** (-alpha) / gamma_c + side.sign * rl_weighted_quad(
+        fp, 1.0 - alpha, anchor, t, cfg
     )
 
 
@@ -297,31 +278,25 @@ def gen_ml_integral(
     if not f.contains(x):
         raise DomainError(f"x={x!r} outside [{f.a!r}, {f.b!r}]")
     rho, mu, gp = p.rho, p.mu, p.gamma_p
-    if side is Side.Left:
-        lo, hi = f.a, x
-        dist = lambda t: x - t
-    else:
-        lo, hi = x, f.b
-        dist = lambda t: t - x
-    if lo == hi:
+    anchor, sign = side.anchor(f), side.sign
+    if x == anchor:
         return 0.0
 
     if mu >= 1.0:
         def integrand(t: float) -> float:
-            d = dist(t)
+            d = sign * (x - t)
             return d ** (mu - 1.0) * ml_value(rho, mu, gp, omega * d**rho) * f.fn(t)
 
-        return adaptive_gl(integrand, lo, hi, cfg)
+        return adaptive_gl(integrand, min(anchor, x), max(anchor, x), cfg)
 
     # u = dist^mu; dist^(mu-1) dt collapses to du/mu exactly.
     inv_mu = 1.0 / mu
-    span = hi - lo
+    span = abs(x - anchor)
 
     def integrand_u(u: float) -> float:
         d = u**inv_mu
         if d > span:
             d = span
-        t = x - d if side is Side.Left else x + d
-        return ml_value(rho, mu, gp, omega * d**rho) * f.fn(t)
+        return ml_value(rho, mu, gp, omega * d**rho) * f.fn(x - sign * d)
 
     return adaptive_gl(integrand_u, 0.0, span**mu, cfg) / mu

@@ -6,9 +6,11 @@ and the worst panel is bisected until the summed estimate meets tolerance.
 The global strategy matters here because several operator integrands have
 weak endpoint kinks that a tolerance-halving recursion would over-refine.
 
-``rl_weighted_quad`` removes the (t-s)^(alpha-1) Riemann-Liouville kernel
-singularity exactly with the substitution u = (t-s)^alpha, after which the
-integrand is bounded and plain adaptive quadrature applies.
+``rl_weighted_quad`` removes the |t-s|^(alpha-1) Riemann-Liouville kernel
+singularity exactly with the one power substitution u = |t-s|^alpha, after
+which the integrand is bounded and plain adaptive quadrature applies.  The
+same routine serves either side: the anchor below t gives the left integral,
+the anchor above t the right one.
 """
 
 from __future__ import annotations
@@ -119,14 +121,16 @@ def adaptive_gl(
     seq = 1
     while total_err > max(cfg.abs_tol, cfg.rel_tol * abs(total)):
         neg_err, _, plo, phi, depth, pval, perr = heapq.heappop(heap)
-        if depth >= cfg.max_depth:
-            raise DepthExceeded(
-                f"tolerance not met at bisection depth {cfg.max_depth} "
-                f"on panel [{plo:g}, {phi:g}]"
+        if depth >= cfg.max_depth or len(heap) >= _PANEL_BUDGET:
+            limit = (
+                f"bisection depth {cfg.max_depth}"
+                if depth >= cfg.max_depth
+                else f"{_PANEL_BUDGET} panels on [{lo:g}, {hi:g}]"
             )
-        if len(heap) >= _PANEL_BUDGET:
             raise DepthExceeded(
-                f"tolerance not met within {_PANEL_BUDGET} panels on [{lo:g}, {hi:g}]"
+                f"tolerance not met within {limit}: worst panel [{plo:g}, {phi:g}] "
+                f"error estimate {perr:.3g}, summed estimate {total_err:.3g}, "
+                f"target {max(cfg.abs_tol, cfg.rel_tol * abs(total)):.3g}"
             )
         mid = 0.5 * (plo + phi)
         total -= pval
@@ -141,61 +145,40 @@ def adaptive_gl(
 
 
 def rl_weighted_quad(
-    f: RealFunction, alpha: float, a: float, t: float, cfg: QuadConfig | None = None
+    f: RealFunction, alpha: float, anchor: float, t: float, cfg: QuadConfig | None = None
 ) -> float:
-    """(1/Gamma(alpha)) * integral_a^t (t-s)^(alpha-1) f(s) ds.
+    """(1/Gamma(alpha)) * integral between anchor and t of |t-s|^(alpha-1) f(s) ds.
 
-    The substitution u = (t-s)^alpha turns this exactly into
-    (1/(alpha Gamma(alpha))) * integral_0^{(t-a)^alpha} f(t - u^(1/alpha)) du,
+    An anchor below t gives the left integral, one above t the right one.
+    With sign = +1 (left) or -1 (right) the substitution s = t - sign u^(1/alpha)
+    turns this exactly into
+    (1/(alpha Gamma(alpha))) * integral_0^{|t-anchor|^alpha} f(t - sign u^(1/alpha)) du,
     whose integrand is bounded.
     """
     if not (alpha > 0.0):
         raise DomainError(f"rl_weighted_quad needs alpha > 0, got {alpha!r}")
-    if not f.contains(t) or a < f.a - 1e-12 * max(1.0, abs(f.a)):
-        raise DomainError(f"t={t!r} or a={a!r} outside the function domain")
-    if t <= a:
-        if t == a:
-            return 0.0
-        raise DomainError(f"rl_weighted_quad needs t >= a, got t={t!r} < a={a!r}")
+    if (
+        not f.contains(t)
+        or anchor < f.a - 1e-12 * max(1.0, abs(f.a))
+        or anchor > f.b + 1e-12 * max(1.0, abs(f.b))
+    ):
+        raise DomainError(f"t={t!r} or anchor={anchor!r} outside the function domain")
+    if t == anchor:
+        return 0.0
     inv_alpha = 1.0 / alpha
-    lo_clamp, hi_clamp = a, t
+    sign = 1.0 if anchor < t else -1.0
+    lo_clamp, hi_clamp = min(anchor, t), max(anchor, t)
+    fn = f.fn
 
     def g(u: float) -> float:
-        s = t - u**inv_alpha
+        s = t - sign * u**inv_alpha
         if s < lo_clamp:
             s = lo_clamp
         elif s > hi_clamp:
             s = hi_clamp
-        return f.fn(s)
+        return fn(s)
 
-    u_max = (t - a) ** alpha
-    return adaptive_gl(g, 0.0, u_max, cfg) / (alpha * math.gamma(alpha))
-
-
-def rl_weighted_quad_right(
-    f: RealFunction, alpha: float, t: float, b: float, cfg: QuadConfig | None = None
-) -> float:
-    """Mirror of :func:`rl_weighted_quad` for the right-sided kernel (s-t)^(alpha-1)."""
-    if not (alpha > 0.0):
-        raise DomainError(f"rl_weighted_quad_right needs alpha > 0, got {alpha!r}")
-    if not f.contains(t) or b > f.b + 1e-12 * max(1.0, abs(f.b)):
-        raise DomainError(f"t={t!r} or b={b!r} outside the function domain")
-    if t >= b:
-        if t == b:
-            return 0.0
-        raise DomainError(f"rl_weighted_quad_right needs t <= b, got t={t!r} > b={b!r}")
-    inv_alpha = 1.0 / alpha
-    lo_clamp, hi_clamp = t, b
-
-    def g(u: float) -> float:
-        s = t + u**inv_alpha
-        if s < lo_clamp:
-            s = lo_clamp
-        elif s > hi_clamp:
-            s = hi_clamp
-        return f.fn(s)
-
-    u_max = (b - t) ** alpha
+    u_max = abs(t - anchor) ** alpha
     return adaptive_gl(g, 0.0, u_max, cfg) / (alpha * math.gamma(alpha))
 
 

@@ -7,11 +7,14 @@ import sys
 from mlfrac.cli import RunSpec, run, run_cli
 
 SQPI = math.sqrt(math.pi)
+SRC_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def mlfrac(*argv, env_extra=None):
     env = dict(os.environ)
     env.pop("MLFRAC_TOL", None)
+    # the child interpreter imports mlfrac from this checkout, installed or not
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC_DIR, env.get("PYTHONPATH")) if p)
     if env_extra:
         env.update(env_extra)
     proc = subprocess.run(
@@ -39,6 +42,18 @@ class TestMlCommand:
         p = mlfrac("ml", "--rho", "0.5", "--mu", "1", "--z", "101")
         assert p.returncode == 3
         assert "error" in p.stderr
+
+    def test_cancelled_value_exits_numeric_error(self):
+        # the series sums to -5e7 here (true value 4.3e-4): flagged, so exit 3
+        p = mlfrac("ml", "--rho", "0.98", "--mu", "1", "--z", "-49", "--format", "json")
+        assert p.returncode == 3
+        payload = json.loads(p.stdout)
+        assert payload["precision_flag"] is True
+        assert "max_term_magnitude" in p.stderr
+        assert f"{payload['max_term_magnitude']:.6g}" in p.stderr
+        plain = mlfrac("ml", "--rho", "0.98", "--mu", "1", "--z", "-49")
+        assert plain.returncode == 3
+        assert float(plain.stdout) == payload["value"]
 
 
 class TestGridCommands:
@@ -74,7 +89,7 @@ class TestGridCommands:
         )
         assert p.returncode == 0
         first = p.stdout.strip().split("\n")[1]
-        assert first.split(",")[1].startswith("sing(")
+        assert first == "0,sing(inf)"
 
     def test_abc_deriv_grid(self):
         p = mlfrac(
@@ -146,6 +161,33 @@ class TestSolveCommand:
         assert payload["residual_sup"] <= 1e-7
         assert payload["contraction_q"] < 1.0
         assert len(payload["values"]) == 17
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+class TestStrictJson:
+    def test_non_finite_values_are_null(self):
+        runs = [
+            # unbounded at the anchor: the singular node is null, not Infinity
+            mlfrac("deriv", "--op", "rl-left", "--alpha", "0.5", "--fn", "1+x",
+                   "--grid", "3", "--format", "json"),
+            mlfrac("solve-el", "--problem", "free-particle", "--alpha", "0.5",
+                   "--grid-n", "8", "--format", "json"),
+            mlfrac("solve-el", "--problem", "quadratic", "--alpha", "0.5", "--y0", "1",
+                   "--grid-n", "16", "--format", "json"),
+            # a report that failed on an exception carries NaN/inf sides
+            mlfrac("verify", "--id", "caputo-rl", "--fn", "1/(x-0.5)"),
+        ]
+        payloads = [json.loads(p.stdout, parse_constant=_reject_constant) for p in runs]
+        assert [p.returncode for p in runs] == [0, 0, 0, 1]
+        deriv, _, _, report = payloads
+        assert deriv["singular"] == [0]
+        assert deriv["values"][0] is None
+        assert all(v is not None for v in deriv["values"][1:])
+        assert report["pass"] is False
+        assert report["lhs"] is None and report["abs_err"] is None
 
 
 class TestRunSpecApi:

@@ -298,6 +298,11 @@ class TestQReflect:
             lambda s, f, t: ab_integral(s, f, o, t),
             lambda s, f, t: abc_derivative(s, f, o, t),
             lambda s, f, t: abr_derivative(s, f, o, t),
+            lambda s, f, t: abr_derivative_kernel_diff(s, f, o, t),
+            lambda s, f, t: rl_derivative(s, f, o.alpha, t),
+            # mu < 1 takes the power-substitution branch, mu >= 1 the direct one
+            lambda s, f, t: gen_ml_integral(s, MLParams(o.alpha, 0.7, 1.0), -0.8, f, t),
+            lambda s, f, t: gen_ml_integral(s, MLParams(o.alpha, 1.5, 2.0), -0.8, f, t),
         ]
         for _ in range(3):
             f = random_cubic(rng)

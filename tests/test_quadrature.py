@@ -1,9 +1,11 @@
 import math
 import random
+import re
 
 import mpmath
 import pytest
 
+from mlfrac import quadrature
 from mlfrac.errors import DepthExceeded, DomainError, NonFiniteIntegrand
 from mlfrac.quadrature import (
     QuadConfig,
@@ -11,7 +13,6 @@ from mlfrac.quadrature import (
     adaptive_gl,
     central_diff,
     rl_weighted_quad,
-    rl_weighted_quad_right,
 )
 
 GOLDEN = 1.0 / 12.0 + 8.0 / (105.0 * math.sqrt(math.pi))
@@ -53,7 +54,25 @@ def test_linearity_on_random_polynomials():
 
 def test_depth_exceeded_on_harsh_singularity():
     cfg = QuadConfig(abs_tol=1e-12, rel_tol=1e-12, max_depth=12)
-    with pytest.raises(DepthExceeded):
+    with pytest.raises(DepthExceeded) as info:
+        adaptive_gl(lambda x: abs(x - 0.3) ** -0.9, 0.0, 1.0, cfg)
+    msg = str(info.value)
+    assert "bisection depth 12" in msg
+    assert "worst panel" in msg
+    # the message carries the worst panel's estimate, the summed estimate and
+    # the target max(abs_tol, rel_tol * |total|), which exceeds 1e-12 here
+    est = re.search(r"error estimate (\S+), summed estimate (\S+), target (\S+)$", msg)
+    assert est is not None, msg
+    panel_err, total_err, target = (float(v) for v in est.groups())
+    assert 0.0 < panel_err <= total_err
+    assert target >= 1e-12
+    assert total_err > target
+
+
+def test_panel_budget_message(monkeypatch):
+    monkeypatch.setattr(quadrature, "_PANEL_BUDGET", 4)
+    cfg = QuadConfig(abs_tol=1e-12, rel_tol=1e-12)
+    with pytest.raises(DepthExceeded, match=r"within 4 panels on \[0, 1\]: worst panel .* target "):
         adaptive_gl(lambda x: abs(x - 0.3) ** -0.9, 0.0, 1.0, cfg)
 
 
@@ -105,8 +124,8 @@ def test_rl_right_mirror():
     f = _rf(lambda s: (b - s) ** beta)
     for t in (0.0, 0.3, 0.9):
         want = math.gamma(beta + 1.0) * (b - t) ** (alpha + beta) / math.gamma(alpha + beta + 1.0)
-        assert abs(rl_weighted_quad_right(f, alpha, t, b) - want) <= 1e-9
-    assert rl_weighted_quad_right(f, alpha, b, b) == 0.0
+        assert abs(rl_weighted_quad(f, alpha, b, t) - want) <= 1e-9
+    assert rl_weighted_quad(f, alpha, b, b) == 0.0
 
 
 def test_rl_substitution_vs_direct_singular_quadrature():
@@ -127,10 +146,17 @@ def test_rl_substitution_vs_direct_singular_quadrature():
 
 def test_rl_domain_errors():
     f = _rf(lambda s: 1.0)
-    with pytest.raises(DomainError):
-        rl_weighted_quad(f, 0.5, 0.0, 1.5)
-    with pytest.raises(DomainError):
-        rl_weighted_quad(f, -0.5, 0.0, 0.5)
+    for anchor in (f.a, f.b):
+        with pytest.raises(DomainError):
+            rl_weighted_quad(f, 0.5, anchor, 1.5)
+        with pytest.raises(DomainError):
+            rl_weighted_quad(f, 0.5, anchor, -0.5)
+        with pytest.raises(DomainError):
+            rl_weighted_quad(f, -0.5, anchor, 0.5)
+        assert rl_weighted_quad(f, 0.5, anchor, anchor) == 0.0
+    for anchor in (f.b + 0.5, f.a - 0.5):
+        with pytest.raises(DomainError):
+            rl_weighted_quad(f, 0.5, anchor, 0.5)
 
 
 def test_central_diff_basics():
