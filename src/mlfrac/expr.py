@@ -7,12 +7,19 @@ expressions evaluate to floats and differentiate symbolically; the seven
 function heads are closed under differentiation except gamma (its
 derivative needs the digamma function, which the grammar cannot express),
 so expressions containing gamma fall back to numeric differentiation.
+
+:func:`to_real_function` compiles an expression and its derivative once
+each, to straight-line Python code with one assignment per node; the tree
+walker :func:`evaluate` is the reference those functions match bit for bit
+and the path that raises their domain errors.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from typing import Callable
 
 from .errors import DomainError, ExprSyntaxError, UnknownIdentifier
 from .quadrature import RealFunction
@@ -20,6 +27,12 @@ from .special import gamma_fn
 
 FUNCTIONS = ("sin", "cos", "exp", "ln", "sqrt", "abs", "gamma")
 CONSTANTS = {"pi": math.pi, "e": math.e}
+
+# The primitives behind each operator and function head.  math.pow keeps the
+# arithmetic real: a negative base with a fractional exponent is a domain
+# violation, not a complex value.
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv, "^": math.pow}
+_FUNCTIONS = dict(zip(FUNCTIONS, (math.sin, math.cos, math.exp, math.log, math.sqrt, abs, gamma_fn)))
 
 
 class Expr:
@@ -174,9 +187,12 @@ class _Parser:
         if tok.kind == "num":
             self.advance()
             try:
-                return Num(float(tok.text))
+                value = float(tok.text)
             except ValueError:
-                raise ExprSyntaxError(f"bad number literal {tok.text!r}", tok.pos) from None
+                value = math.nan
+            if not math.isfinite(value):  # malformed, or overflows to infinity
+                raise ExprSyntaxError(f"bad number literal {tok.text!r}", tok.pos)
+            return Num(value)
         if tok.kind == "ident":
             self.advance()
             name = tok.text
@@ -204,12 +220,17 @@ def parse_expr(text: str) -> Expr:
     """Parse an expression; raises ExprSyntaxError / UnknownIdentifier."""
     if not text or not text.strip():
         raise ExprSyntaxError("empty expression", 0)
-    return _Parser(text).parse()
+    try:
+        return _Parser(text).parse()
+    except RecursionError:
+        raise ExprSyntaxError("expression nested too deeply", 0) from None
 
 
 def evaluate(node: Expr, x: float) -> float:
-    """Evaluate at x.  Domain violations (ln/sqrt of a negative number,
-    division by zero, invalid powers) raise DomainError."""
+    """Evaluate at x by walking the tree: the reference for the compiled
+    functions of :func:`to_real_function`, and their error path.  Domain
+    violations (ln/sqrt of a negative number, division by zero, invalid
+    powers) raise DomainError."""
     if isinstance(node, Num):
         return node.value
     if isinstance(node, Var):
@@ -222,17 +243,7 @@ def evaluate(node: Expr, x: float) -> float:
         lv = evaluate(node.left, x)
         rv = evaluate(node.right, x)
         try:
-            if node.op == "+":
-                return lv + rv
-            if node.op == "-":
-                return lv - rv
-            if node.op == "*":
-                return lv * rv
-            if node.op == "/":
-                return lv / rv
-            # math.pow keeps the arithmetic real: negative base with a
-            # fractional exponent is a domain violation, not a complex value
-            return math.pow(lv, rv)
+            return _BINARY[node.op](lv, rv)
         except ZeroDivisionError as exc:
             raise DomainError(f"division by zero at x={x:g}") from exc
         except ValueError as exc:
@@ -240,19 +251,7 @@ def evaluate(node: Expr, x: float) -> float:
     if isinstance(node, Call):
         v = evaluate(node.arg, x)
         try:
-            if node.fn == "sin":
-                return math.sin(v)
-            if node.fn == "cos":
-                return math.cos(v)
-            if node.fn == "exp":
-                return math.exp(v)
-            if node.fn == "ln":
-                return math.log(v)
-            if node.fn == "sqrt":
-                return math.sqrt(v)
-            if node.fn == "abs":
-                return abs(v)
-            return gamma_fn(v)
+            return _FUNCTIONS[node.fn](v)
         except ValueError as exc:
             raise DomainError(f"{node.fn} of {v:g} is undefined") from exc
     raise TypeError(f"not an Expr node: {node!r}")
@@ -373,11 +372,46 @@ def to_string(node: Expr) -> str:
     raise TypeError(f"not an Expr node: {node!r}")
 
 
+def _emit(n: Expr, scope: dict, lines: list[str], names: dict[int, str]) -> str:
+    """Append the assignments that compute n (after its operands) to lines;
+    return the name that holds its value.  names maps id(node) to that name,
+    so a subtree shared by a derivative is computed once."""
+    if id(n) in names:
+        return names[id(n)]
+    if isinstance(n, Neg):
+        value = f"-{_emit(n.arg, scope, lines, names)}"
+    elif isinstance(n, Bin):
+        lv, rv = _emit(n.left, scope, lines, names), _emit(n.right, scope, lines, names)
+        value = f"pow({lv}, {rv})" if n.op == "^" else f"{lv} {n.op} {rv}"
+    elif isinstance(n, Call):
+        value = f"{n.fn}({_emit(n.arg, scope, lines, names)})"
+    name = names[id(n)] = "x" if isinstance(n, Var) else f"v{len(names)}"
+    if isinstance(n, (Neg, Bin, Call)):
+        lines.append(f"        {name} = {value}\n")
+    elif name != "x":  # a literal or constant; evaluate rejects other types
+        scope[name] = evaluate(n, 0.0)
+    return name
+
+
+def _compile(node: Expr) -> Callable[[float], float]:
+    """node as one straight-line Python function of x: one assignment per
+    distinct inner node, in evaluate's order and with its primitives, so
+    every value is bit-identical to evaluate's.  Literals and constants are
+    bound as values.  A ZeroDivisionError or ValueError falls back to
+    evaluate, which raises the DomainError with its message."""
+    scope: dict = {"pow": math.pow, "evaluate": evaluate, "node": node, **_FUNCTIONS}
+    lines: list[str] = []
+    result = _emit(node, scope, lines, {})
+    source = "def compiled(x):\n    try:\n" + "".join(lines) + f"        return {result}\n"
+    source += "    except (ZeroDivisionError, ValueError):\n        pass\n    return evaluate(node, x)\n"
+    exec(compile(source, "<mlfrac.expr>", "exec"), scope)
+    return scope.pop("compiled")  # scope keeps no reference back: no cycle for the collector
+
+
 def to_real_function(node: Expr, a: float, b: float) -> RealFunction:
     """Wrap an expression (and its symbolic derivative, when it exists) as a
-    RealFunction on [a, b]."""
+    RealFunction on [a, b]; each is compiled once by :func:`_compile`."""
     d = differentiate(node)
-    deriv = None if d is None else (lambda t, _d=d: evaluate(_d, t))
     return RealFunction(
-        fn=lambda t: evaluate(node, t), a=a, b=b, deriv=deriv, label=to_string(node)
+        fn=_compile(node), a=a, b=b, deriv=None if d is None else _compile(d), label=to_string(node)
     )

@@ -94,13 +94,13 @@ class IdentityReport:
             "abs_err": self.abs_err,
             "tol": self.tol,
             "pass": self.passed,
-        }
+        } | ({"error": self.params["error"]} if "error" in self.params else {})
 
 
 def _failed_report(name: str, params: dict, tol: float, exc: MlfracError) -> IdentityReport:
     params = dict(params)
     params["error"] = f"{type(exc).__name__}: {exc}"
-    return IdentityReport(name, params, np.array([math.nan]), np.array([0.0]), tol)
+    return IdentityReport(name, params, np.array([math.nan]), np.array([math.nan]), tol)
 
 
 def _base_params(ord_: FracOrder, a: float, b: float, **labels: str) -> dict:

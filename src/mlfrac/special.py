@@ -8,13 +8,16 @@ is the kernel of every nonlocal operator in this package.  Terms are
 generated by a ratio recurrence whose gamma factors are evaluated as
 log-gamma differences, so the series stays in floating-point range far
 past the overflow point of Gamma itself.  Ratio tables depend only on
-(rho, mu, gamma) and are memoized across calls.
+(rho, mu, gamma) and are memoized across calls; one loop walks the cached
+table term by term, and ``ml_eval(record_terms=True)`` replays the same
+recurrence afterwards instead of recording inside that loop.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .errors import ConvergenceError, DomainError, PoleError
 
@@ -110,50 +113,46 @@ def _ratios(rho: float, mu: float, gamma_p: float, upto: int) -> tuple[float, ..
     return out
 
 
-def _sum_series(
-    rho: float, mu: float, gamma_p: float, z: float, record: bool = False
-) -> tuple[float, int, float, tuple[float, ...] | None]:
-    # Negative-integer (or zero) gamma_p truncates the series after 1-gamma_p
-    # terms; sum that finite block exactly and skip the stopping heuristic.
-    truncated = gamma_p <= 0.0 and gamma_p == math.floor(gamma_p)
-    n_exact = int(1 - gamma_p) if truncated else TERM_CAP
-
+def _sum_series(rho: float, mu: float, gamma_p: float, z: float) -> tuple[float, int, float]:
+    """(value, terms used, largest term magnitude) of the series at z."""
+    # Negative-integer (or zero) gamma_p ends the series after 1-gamma_p terms.
+    n_ratios = int(-gamma_p) if gamma_p <= 0.0 and gamma_p == math.floor(gamma_p) else TERM_CAP
+    limit = min(n_ratios, TERM_CAP - 1)
+    ratios = _ratio_cache.get((rho, mu, gamma_p)) or _ratios(rho, mu, gamma_p, 64)
+    isfinite, stop = math.isfinite, _REL_STOP
     term = math.exp(-math.lgamma(mu))
-    total = term
-    max_term = abs(term)
-    recorded = [term] if record else None
-    tiny_run = 0
+    total = max_term = term
+    tiny = False
     k = 0
-    ratios = _ratios(rho, mu, gamma_p, min(64, n_exact) if truncated else 64)
     while True:
-        if truncated and k + 1 >= n_exact:
-            return total, k + 1, max_term, tuple(recorded) if record else None
-        if k + 1 >= TERM_CAP:
-            raise ConvergenceError(
-                f"Mittag-Leffler series did not converge within {TERM_CAP} terms "
-                f"(rho={rho:g}, mu={mu:g}, gamma={gamma_p:g}, z={z:g})"
-            )
-        if k >= len(ratios):
-            ratios = _ratios(rho, mu, gamma_p, 2 * len(ratios))
-        term = term * ratios[k] * z
-        total += term
-        k += 1
-        if record:
-            recorded.append(term)
-        if not math.isfinite(total):
-            raise ConvergenceError(
-                f"Mittag-Leffler series overflowed at term {k} "
-                f"(rho={rho:g}, mu={mu:g}, gamma={gamma_p:g}, z={z:g})"
-            )
-        a = abs(term)
-        if a > max_term:
-            max_term = a
-        if a == 0.0 or a < _REL_STOP * abs(total):
-            tiny_run += 1
-            if tiny_run == 2:
-                return total, k + 1, max_term, tuple(recorded) if record else None
-        else:
-            tiny_run = 0
+        for r in ratios[k:limit]:
+            term = term * r * z
+            total += term
+            k += 1
+            if not isfinite(total):
+                raise ConvergenceError(
+                    f"Mittag-Leffler series overflowed at term {k} "
+                    f"(rho={rho:g}, mu={mu:g}, gamma={gamma_p:g}, z={z:g})"
+                )
+            a = abs(term)
+            if a > max_term:
+                max_term = a
+            # stop after two consecutive terms below 1e-16 of the sum
+            if a < stop * abs(total) or a == 0.0:
+                if tiny:
+                    return total, k + 1, max_term
+                tiny = True
+            else:
+                tiny = False
+        if k == limit:
+            break
+        ratios = _ratios(rho, mu, gamma_p, 2 * len(ratios))
+    if k == n_ratios:
+        return total, k + 1, max_term
+    raise ConvergenceError(
+        f"Mittag-Leffler series did not converge within {TERM_CAP} terms "
+        f"(rho={rho:g}, mu={mu:g}, gamma={gamma_p:g}, z={z:g})"
+    )
 
 
 def ml_eval(p: MLParams, z: float, record_terms: bool = False) -> SeriesResult:
@@ -161,11 +160,16 @@ def ml_eval(p: MLParams, z: float, record_terms: bool = False) -> SeriesResult:
 
     Stops after two consecutive terms below 1e-16 of the partial sum.
     Raises :class:`DomainError` for |z| > 100 and :class:`ConvergenceError`
-    if the term cap is reached first.
+    if the term cap is reached first.  ``record_terms`` replays the same
+    recurrence over the terms used.
     """
     if not math.isfinite(z) or abs(z) > Z_MAX:
         raise DomainError(f"ml_eval working domain is |z| <= {Z_MAX:g}, got z={z!r}")
-    value, used, max_term, terms = _sum_series(p.rho, p.mu, p.gamma_p, z, record_terms)
+    value, used, max_term = _sum_series(p.rho, p.mu, p.gamma_p, z)
+    terms = None
+    if record_terms:
+        ratios = _ratios(p.rho, p.mu, p.gamma_p, used - 1)[: used - 1]
+        terms = tuple(accumulate(ratios, lambda t, r: t * r * z, initial=math.exp(-math.lgamma(p.mu))))
     return SeriesResult(
         value=value,
         terms_used=used,

@@ -108,6 +108,17 @@ class TestGridCommands:
         p = mlfrac("integ", "--op", "sideways", "--alpha", "0.5", "--fn", "x")
         assert p.returncode == 2
 
+    def test_too_deep_nesting_is_usage_error(self):
+        deep = "sin(" * 220 + "x" + ")" * 220
+        p = mlfrac("integ", "--op", "ab-left", "--alpha", "0.5", "--fn", deep, "--grid", "3")
+        assert p.returncode == 2
+        assert "nested too deeply" in p.stderr and "Traceback" not in p.stderr
+
+    def test_non_finite_literal_is_usage_error(self):
+        p = mlfrac("integ", "--op", "ab-left", "--alpha", "0.5", "--fn", "1e999*x", "--grid", "3")
+        assert p.returncode == 2
+        assert "bad number literal '1e999'" in p.stderr
+
 
 class TestVerifyCommand:
     def test_ibp_integrals_golden(self):
@@ -129,6 +140,15 @@ class TestVerifyCommand:
         )
         assert p.returncode == 1
         assert json.loads(p.stdout)["pass"] is False
+
+    def test_report_failed_on_an_exception_names_it(self):
+        p = mlfrac("verify", "--id", "caputo-rl", "--fn", "1/(x-0.5)")
+        assert p.returncode == 1
+        payload = json.loads(p.stdout)
+        assert payload["pass"] is False
+        # no placeholder value: both sides are null and the error says why
+        assert payload["lhs"] is None and payload["rhs"] is None
+        assert payload["error"].startswith("DepthExceeded: ")
 
     def test_tol_flag_overrides(self):
         p = mlfrac("verify", "--id", "diff-formula", "--tol", "1e-3")

@@ -2,9 +2,18 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mlfrac.errors import DomainError, ExprSyntaxError, PoleError, UnknownIdentifier
 from mlfrac.expr import (
+    FUNCTIONS,
+    Bin,
+    Call,
+    Const,
+    Neg,
+    Num,
+    Var,
     differentiate,
     evaluate,
     parse_expr,
@@ -60,6 +69,15 @@ class TestParseAndEvaluate:
             parse_expr("1 ? 2")
         with pytest.raises(ExprSyntaxError):
             parse_expr("1 2")
+
+    def test_non_finite_literal_is_a_syntax_error(self):
+        with pytest.raises(ExprSyntaxError, match="bad number literal '1e999'") as e:
+            parse_expr("2 + 1e999*x")
+        assert e.value.offset == 4
+
+    def test_too_deep_nesting_is_a_syntax_error(self):
+        with pytest.raises(ExprSyntaxError, match="nested too deeply"):
+            parse_expr("sin(" * 220 + "x" + ")" * 220)
 
     def test_unknown_identifier(self):
         with pytest.raises(UnknownIdentifier) as e:
@@ -178,3 +196,65 @@ def test_gamma_blocks_symbolic_derivative():
 def test_real_function_label_round_trips():
     f = to_real_function(parse_expr("x^2 + 1"), 0.0, 1.0)
     assert parse_expr(f.label) == parse_expr("x^2+1")
+
+
+# --- compiled functions against the tree-walking reference -----------------
+
+#: points where the random trees hit every domain error: 0 (division, ln,
+#: gamma pole), negatives (sqrt, ln, fractional powers) and large magnitudes
+#: (exp and power overflow)
+COMPILED_XS = (0.0, -0.0, 0.5, 1.0, -1.0, -2.5, 3.0, 1e-300, 750.0)
+
+
+def _outcome(call, x):
+    """float.hex of the value, or the type and message of what was raised."""
+    try:
+        return float.hex(call(x))
+    except Exception as exc:  # noqa: BLE001 - the exception itself is compared
+        return type(exc), str(exc)
+
+
+def _assert_compiled_matches_evaluate(tree, xs=COMPILED_XS):
+    f = to_real_function(tree, 0.0, 1.0)
+    d = differentiate(tree)
+    assert (f.deriv is None) == (d is None)
+    for x in xs:
+        assert _outcome(f.fn, x) == _outcome(lambda t: evaluate(tree, t), x), (to_string(tree), x)
+        if d is not None:
+            assert _outcome(f.deriv, x) == _outcome(lambda t: evaluate(d, t), x), (to_string(tree), x)
+
+
+_leaves = st.one_of(
+    st.just(Var()),
+    st.sampled_from([Const("pi"), Const("e")]),
+    st.builds(Num, st.sampled_from([0.0, 1.0, 2.0, 0.5, 3.0, 1e-3, 1e308])),
+    st.builds(Num, st.floats(-1e3, 1e3, allow_nan=False)),
+)
+_trees = st.recursive(
+    _leaves,
+    lambda sub: st.one_of(
+        st.builds(Neg, sub),
+        st.builds(Bin, st.sampled_from("+-*/^"), sub, sub),
+        st.builds(Call, st.sampled_from(FUNCTIONS), sub),
+    ),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_trees)
+def test_compiled_function_is_bit_identical_to_evaluate(tree):
+    _assert_compiled_matches_evaluate(tree)
+
+
+def test_compiled_corpus_is_bit_identical_to_evaluate():
+    for text in CORPUS + ["1/x", "ln(x)", "sqrt(x-1)", "x^(1/3)", "gamma(x-1)", "exp(x)*x^300", "x/x"]:
+        _assert_compiled_matches_evaluate(parse_expr(text))
+
+
+def test_deep_power_chain_compiles_without_nesting():
+    # right-associative ^ makes a 300-deep tree; the compiled code stays flat
+    tree = parse_expr("1^" * 300 + "x")
+    _assert_compiled_matches_evaluate(tree, (0.7, -1.0))
+    f = to_real_function(tree, 0.0, 1.0)
+    assert f.fn(0.7) == 1.0 and f.deriv(0.7) == 0.0

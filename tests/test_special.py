@@ -4,7 +4,7 @@ import random
 import pytest
 
 from mlfrac.errors import ConvergenceError, DomainError, PoleError
-from mlfrac.special import MLParams, gamma_fn, ml_eval, ml_value, pochhammer
+from mlfrac.special import TERM_CAP, MLParams, gamma_fn, ml_eval, ml_value, pochhammer
 
 
 def test_gamma_classical_values():
@@ -152,3 +152,58 @@ def test_ml_monotone_term_decay_after_knee():
 
 def test_ml_value_matches_ml_eval():
     assert ml_value(0.5, 1.0, 1.0, -0.7) == ml_eval(MLParams(0.5, 1.0, 1.0), -0.7).value
+
+
+def _reference_series(rho, mu, g, z):
+    """The series summed term by term, as plainly as possible: the term cap
+    and the truncation of negative-integer g checked before every term, each
+    ratio from its own two log-gammas, every term kept."""
+    truncated = g <= 0.0 and g == math.floor(g)
+    n_exact = int(1 - g) if truncated else TERM_CAP
+    term = math.exp(-math.lgamma(mu))
+    total, max_term, terms, tiny_run, k = term, abs(term), [term], 0, 0
+    while True:
+        if truncated and k + 1 >= n_exact:
+            return total, k + 1, max_term, terms
+        if k + 1 >= TERM_CAP:
+            raise ConvergenceError(f"did not converge within {TERM_CAP} terms")
+        ratio = (g + k) / (k + 1) * math.exp(math.lgamma(rho * k + mu) - math.lgamma(rho * (k + 1) + mu))
+        term = term * ratio * z
+        total += term
+        k += 1
+        terms.append(term)
+        if not math.isfinite(total):
+            raise ConvergenceError(f"overflowed at term {k} ")
+        a = abs(term)
+        max_term = max(max_term, a)
+        if a == 0.0 or a < 1e-16 * abs(total):
+            tiny_run += 1
+            if tiny_run == 2:
+                return total, k + 1, max_term, terms
+        else:
+            tiny_run = 0
+
+
+def test_ml_series_is_bit_identical_to_the_reference_recurrence():
+    grid = [
+        (rho, mu, g, z)
+        for rho in (0.25, 0.5, 0.9, 1.5)
+        for mu in (0.5, 1.0, 1.7)
+        for g in (1.0, 0.6, 2.5, 0.0, -1.0, -4.0)
+        for z in (0.0, 1e-300, -0.7, 2.5, -9.0, -30.0)
+    ] + [(0.005, 1.0, 1.0, 1.05), (0.5, 1.0, -2500.0, 0.1), (0.5, 1.0, -40.0, 1e-300)]
+    raised = 0
+    for rho, mu, g, z in grid:
+        try:
+            value, used, max_term, terms = _reference_series(rho, mu, g, z)
+        except ConvergenceError as exc:
+            raised += 1
+            for call in (lambda: ml_value(rho, mu, g, z), lambda: ml_eval(MLParams(rho, mu, g), z, True)):
+                with pytest.raises(ConvergenceError, match=str(exc)):
+                    call()
+            continue
+        assert ml_value(rho, mu, g, z).hex() == value.hex(), (rho, mu, g, z)
+        r = ml_eval(MLParams(rho, mu, g), z, record_terms=True)
+        assert (r.value.hex(), r.terms_used, r.max_term_magnitude.hex()) == (value.hex(), used, max_term.hex())
+        assert [t.hex() for t in r.terms] == [t.hex() for t in terms], (rho, mu, g, z)
+    assert 0 < raised < len(grid) // 4
