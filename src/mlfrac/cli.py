@@ -9,6 +9,7 @@ series lost its digits to cancellation (``precision_flag``).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -96,7 +97,10 @@ def _parse_interval(text: str) -> tuple[float, float]:
     return lo, hi
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """Built once and shared: a parser per call leaves hundreds of objects in
+    reference cycles for the collector."""
     parser = argparse.ArgumentParser(
         prog="mlfrac",
         description="Fractional operators with a Mittag-Leffler kernel: "
@@ -407,8 +411,7 @@ def run(spec: RunSpec) -> int:
 
 
 def run_cli(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         spec = _spec_from_args(args)
         return run(spec)

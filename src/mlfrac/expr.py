@@ -6,7 +6,7 @@ sin cos exp ln sqrt abs gamma, and the constants pi and e.  Parsed
 expressions evaluate to floats and differentiate symbolically; the seven
 function heads are closed under differentiation except gamma (its
 derivative needs the digamma function, which the grammar cannot express),
-so expressions containing gamma fall back to numeric differentiation.
+so rl_derivative, the one operator reading f', differentiates those numerically.
 
 :func:`to_real_function` compiles an expression and its derivative once
 each, to straight-line Python code with one assignment per node; the tree
@@ -411,7 +411,9 @@ def _compile(node: Expr) -> Callable[[float], float]:
 def to_real_function(node: Expr, a: float, b: float) -> RealFunction:
     """Wrap an expression (and its symbolic derivative, when it exists) as a
     RealFunction on [a, b]; each is compiled once by :func:`_compile`."""
-    d = differentiate(node)
-    return RealFunction(
-        fn=_compile(node), a=a, b=b, deriv=None if d is None else _compile(d), label=to_string(node)
-    )
+    try:
+        d = differentiate(node)
+        deriv = None if d is None else _compile(d)
+        return RealFunction(fn=_compile(node), a=a, b=b, deriv=deriv, label=to_string(node))
+    except RecursionError:  # a long flat chain, which the parser builds without recursing
+        raise ExprSyntaxError("expression nested too deeply", 0) from None

@@ -214,9 +214,10 @@ def verify_caputo_rl_relation(
 ) -> IdentityReport:
     """Caputo-type equals RL-type minus the anchor boundary term.
 
-    The package computes the RL-type derivative *from* this relation, so the
-    check re-evaluates it independently by differentiating the kernel
-    integral with a central difference of step h.
+    The package computes the Caputo-type derivative *from* this relation,
+    with the RL-type one integrated by parts, so the check re-evaluates the
+    RL-type derivative independently by differentiating the kernel integral
+    with a central difference of step h.
     """
     tol = default_tolerance() if tol is None else tol
     a, b = f.a, f.b
@@ -249,9 +250,8 @@ def verify_inverse_and_fundamental(
 ) -> IdentityReport:
     """Three compositions: D(I f) = f, I(D f) = f, I(Caputo-D f) = f - f(anchor).
 
-    The first composition evaluates the RL-type derivative through the
-    independent d/dt path because the integrand of the Caputo route would be
-    singular at the anchor.
+    The first composition takes the RL-type derivative by the independent
+    d/dt path, so D.I and I.D share no derivative code.
     """
     tol = default_tolerance() if tol is None else tol
     a, b = f.a, f.b

@@ -5,11 +5,11 @@ body is written once: the side supplies the anchor (``f.a`` on the left,
 ``f.b`` on the right) and a sign, so the distance from a point x to the
 evaluation point t is ``side.sign * (t - x)``.  The right operators are the
 reflections of the left ones, (Qf)(t) = f(a+b-t), but are computed on their
-own interval and operand, never through ``q_reflect``.  The
-Riemann-Liouville-type derivative with ML kernel is computed through its
-relation to the Caputo-type one (Caputo part plus an anchor boundary term),
-which avoids differentiating a quadrature; an independent d/dt evaluation is
-provided separately for cross-checks.
+own interval and operand, never through ``q_reflect``.  Both ML-kernel
+derivatives come from f alone, by parts: the RL-type one is f(t) plus lam
+times a Prabhakar integral of f, and the Caputo-type one subtracts the
+anchor term f(anchor) E_a(lam dist^a).  Neither reads f'; an independent
+d/dt evaluation is provided separately for cross-checks.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateOrder, DomainError, SingularityError
-from .quadrature import QuadConfig, RealFunction, adaptive_gl, rl_weighted_quad
+from .quadrature import DEFAULT_QUAD, QuadConfig, RealFunction, adaptive_gl, rl_weighted_quad
 from .special import MLParams, ml_one, ml_value
 
 #: ML-kernel operators reject orders at or above this value: the kernel rate
@@ -151,40 +151,32 @@ def ab_integral(
     return w0 * f.fn(t) + w1 * rl_integral(side, f, ord_, t, cfg)
 
 
-def abc_derivative(
-    side: Side, f: RealFunction, ord_: FracOrder, t: float, cfg: QuadConfig | None = None
-) -> float:
-    """Caputo-type derivative with nonsingular ML kernel applied to f'."""
-    _require_kernel_order(ord_)
-    if not f.contains(t):
-        raise DomainError(f"t={t!r} outside [{f.a!r}, {f.b!r}]")
-    lam = ord_.lam
-    alpha = ord_.alpha
-    scale = ord_.b_norm / (1.0 - alpha)
-    fp = f.prime
-    anchor, sign = side.anchor(f), side.sign
-    if t == anchor:
-        return 0.0
-    integrand = lambda x: fp(x) * ml_one(alpha, lam * (sign * (t - x)) ** alpha)
-    return sign * scale * adaptive_gl(integrand, min(anchor, t), max(anchor, t), cfg)
-
-
 def abr_derivative(
     side: Side, f: RealFunction, ord_: FracOrder, t: float, cfg: QuadConfig | None = None
 ) -> float:
-    """Riemann-Liouville-type ML-kernel derivative.
-
-    Computed as the Caputo-type derivative plus the anchor boundary term
-    (B/(1-a)) f(anchor) E_a(lam dist^a); the two forms coincide for
-    differentiable f with a finite anchor value.
-    """
+    """RL-type ML-kernel derivative from f alone: (B/(1-a)) [f(t) + lam P(t)],
+    P the Prabhakar integral of f with kernel dist^(a-1) E_{a,a}(lam dist^a).
+    P runs at the caller's tolerances over max(1, |lam|), the factor on its error."""
     _require_kernel_order(ord_)
-    scale = ord_.b_norm / (1.0 - ord_.alpha)
-    caputo = abc_derivative(side, f, ord_, t, cfg)
+    alpha, lam = ord_.alpha, ord_.lam
+    cfg, shrink = cfg or DEFAULT_QUAD, max(1.0, abs(lam))
+    inner = QuadConfig(cfg.abs_tol / shrink, cfg.rel_tol / shrink, cfg.max_depth)
+    p = gen_ml_integral(side, MLParams(alpha, alpha, 1.0), lam, f, t, inner)
+    return ord_.b_norm / (1.0 - alpha) * (f.fn(t) + lam * p)
+
+
+def abc_derivative(
+    side: Side, f: RealFunction, ord_: FracOrder, t: float, cfg: QuadConfig | None = None
+) -> float:
+    """Caputo-type ML-kernel derivative: the RL-type one minus the anchor term
+    (B/(1-a)) f(anchor) E_a(lam dist^a).  Zero at the anchor."""
+    _require_kernel_order(ord_)
     anchor = side.anchor(f)
-    dist = abs(t - anchor)
-    boundary = f.fn(anchor)
-    return caputo + scale * boundary * ml_one(ord_.alpha, ord_.lam * dist**ord_.alpha)
+    if t == anchor:
+        return 0.0
+    rl_type = abr_derivative(side, f, ord_, t, cfg)
+    kernel = ml_one(ord_.alpha, ord_.lam * abs(t - anchor) ** ord_.alpha)
+    return rl_type - ord_.b_norm / (1.0 - ord_.alpha) * f.fn(anchor) * kernel
 
 
 def abr_derivative_kernel_diff(

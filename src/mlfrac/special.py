@@ -181,7 +181,7 @@ def ml_eval(p: MLParams, z: float, record_terms: bool = False) -> SeriesResult:
 
 def ml_value(rho: float, mu: float, gamma_p: float, z: float) -> float:
     """Bare series value, for the operator kernels' hot loops."""
-    if abs(z) > Z_MAX:
+    if not abs(z) <= Z_MAX:  # also rejects nan
         raise DomainError(f"ml_value working domain is |z| <= {Z_MAX:g}, got z={z!r}")
     return _sum_series(rho, mu, gamma_p, z)[0]
 

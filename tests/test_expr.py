@@ -79,6 +79,13 @@ class TestParseAndEvaluate:
         with pytest.raises(ExprSyntaxError, match="nested too deeply"):
             parse_expr("sin(" * 220 + "x" + ")" * 220)
 
+    def test_long_flat_chain_is_a_syntax_error(self):
+        # parsed in a loop, but too deep for differentiate and the compiler
+        for op in "*+":
+            tree = parse_expr(op.join(["x"] * 3001))
+            with pytest.raises(ExprSyntaxError, match="nested too deeply"):
+                to_real_function(tree, 0.0, 1.0)
+
     def test_unknown_identifier(self):
         with pytest.raises(UnknownIdentifier) as e:
             parse_expr("x + foo")

@@ -4,7 +4,10 @@ import random
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mlfrac import operators
 from mlfrac.errors import DegenerateOrder, DomainError, SingularityError
 from mlfrac.operators import (
     FracOrder,
@@ -169,11 +172,13 @@ class TestAbcDerivative:
                     assert abs(got - want) <= 1e-6
 
     def test_central_difference_fallback(self):
+        # f' is never read, so an operand without one needs no fallback and
+        # gets the very same value
         f_exact = rf(lambda x: x * x, deriv=lambda x: 2.0 * x)
         f_numeric = rf(lambda x: x * x)
         got_a = abc_derivative(Side.Left, f_exact, HALF, 0.7)
         got_b = abc_derivative(Side.Left, f_numeric, HALF, 0.7)
-        assert abs(got_a - got_b) <= 1e-8
+        assert got_a == got_b
 
 
 class TestAbrDerivative:
@@ -391,3 +396,80 @@ def test_operator_linearity():
 def test_opposite():
     assert opposite(Side.Left) is Side.Right
     assert opposite(Side.Right) is Side.Left
+
+
+# --- both ML-kernel derivatives by parts, from f alone ------------------------
+
+
+def _no_derivative(x):
+    raise AssertionError("an ML-kernel derivative read f'")
+
+
+@st.composite
+def _kernel_cases(draw):
+    """(side, order, a, b, t).  The interval is at most 1 long, so the kernel
+    argument stays within |z| <= 9; past that the series itself loses digits
+    (ROADMAP item 1), which is not what these properties are about."""
+    alpha = draw(st.floats(0.05, 0.9))
+    b_norm = draw(st.floats(0.5, 2.0))
+    a = draw(st.floats(-1.0, 1.0))
+    b = a + draw(st.floats(0.05, 1.0))
+    t = a + draw(st.floats(0.0, 1.0)) * (b - a)
+    return draw(st.sampled_from(Side)), FracOrder(alpha, b_norm), a, b, min(t, b)
+
+
+def _by_parts_setup(case):
+    side, o, a, b, t = case
+    scale = o.b_norm / (1.0 - o.alpha)
+    dist = abs(t - (a if side is Side.Left else b))
+    return side, o, a, b, t, scale, dist
+
+
+@settings(max_examples=60, deadline=None)
+@given(_kernel_cases(), st.floats(-3.0, 3.0))
+def test_abc_of_a_constant_is_zero(case, c):
+    side, o, a, b, t, scale, _ = _by_parts_setup(case)
+    f = rf(lambda x: c, a, b, deriv=_no_derivative)
+    assert abs(abc_derivative(side, f, o, t)) <= 1e-10 * scale * abs(c)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_kernel_cases())
+def test_abr_of_one_is_the_scaled_kernel(case):
+    side, o, a, b, t, scale, dist = _by_parts_setup(case)
+    f = rf(lambda x: 1.0, a, b, deriv=_no_derivative)
+    want = scale * ml_one(o.alpha, o.lam * dist**o.alpha)
+    assert abs(abr_derivative(side, f, o, t) - want) <= 1e-10 * scale
+
+
+@settings(max_examples=60, deadline=None)
+@given(_kernel_cases())
+def test_abc_of_x_is_the_two_parameter_closed_form(case):
+    # (B/(1-a)) dist E_{a,2}(lam dist^a), with the right side's sign
+    side, o, a, b, t, scale, dist = _by_parts_setup(case)
+    f = rf(lambda x: x, a, b, deriv=_no_derivative)
+    want = side.sign * scale * dist * ml_value(o.alpha, 2.0, 1.0, o.lam * dist**o.alpha)
+    assert abs(abc_derivative(side, f, o, t) - want) <= 1e-9 * scale * max(1.0, abs(a), abs(b))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_kernel_cases(), st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))
+def test_ml_kernel_derivatives_are_linear(case, c1, c2):
+    side, o, a, b, t, scale, _ = _by_parts_setup(case)
+    f = rf(math.sin, a, b, deriv=_no_derivative)
+    g = rf(lambda x: x * x - 0.5, a, b, deriv=_no_derivative)
+    combo = rf(lambda x: c1 * f.fn(x) + c2 * g.fn(x), a, b, deriv=_no_derivative)
+    for op in (abc_derivative, abr_derivative):
+        lhs = op(side, combo, o, t)
+        rhs = c1 * op(side, f, o, t) + c2 * op(side, g, o, t)
+        assert abs(lhs - rhs) <= 1e-9 * scale * (abs(c1) + abs(c2) + 1.0)
+
+
+def test_abr_does_not_go_through_abc(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("abr_derivative called abc_derivative")
+
+    monkeypatch.setattr(operators, "abc_derivative", forbidden)
+    f = rf(lambda x: x * x, deriv=_no_derivative)
+    for side in Side:
+        assert math.isfinite(abr_derivative(side, f, HALF, 0.3))

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from mlfrac.errors import ConvergenceError, DomainError, PoleError
-from mlfrac.special import TERM_CAP, MLParams, gamma_fn, ml_eval, ml_value, pochhammer
+from mlfrac.special import TERM_CAP, MLParams, gamma_fn, ml_eval, ml_one, ml_value, pochhammer
 
 
 def test_gamma_classical_values():
@@ -120,6 +120,11 @@ def test_ml_domain_and_convergence_errors():
     with pytest.raises(ConvergenceError):
         # slowly growing terms exhaust the 2000-term cap before converging
         ml_eval(MLParams(0.005, 1.0, 1.0), 1.05)
+    # nan is outside the domain too, for the bare value as for ml_eval
+    for evaluate in (lambda z: ml_eval(MLParams(0.5, 1.0, 1.0), z), lambda z: ml_value(0.5, 1.0, 1.0, z),
+                     lambda z: ml_one(0.5, z)):
+        with pytest.raises(DomainError, match="working domain"):
+            evaluate(math.nan)
     with pytest.raises(DomainError):
         MLParams(0.0, 1.0, 1.0)
     with pytest.raises(DomainError):

@@ -52,9 +52,12 @@ def test_abc_left_grid_counts_one_ml_call_and_one_expr_eval_per_node():
         tracer.close()
     assert code == 0 and out.getvalue().startswith("t,value\n")
     c = tracer.counts
-    # the node t = a needs no integral; the other two integrate f' times the kernel
+    # the node t = a needs no integral; the other two integrate f times the
+    # E_{a,a} kernel in one 28-evaluation panel each, then read one kernel
+    # value E_a and evaluate f at t and at the anchor
     assert (c.cli_commands, c.quad_calls, tracer.operator_calls["abc_derivative"]) == (1, 2, 3)
-    assert c.special_calls == c.expr_evals == c.quad_evals == 1456
+    assert c.quad_evals == 56
+    assert (c.special_calls, c.expr_evals) == (c.quad_evals + 2, c.quad_evals + 4)
     assert c.cli_bytes_out == len(out.getvalue())
     for owner, name, original in patched:
         assert getattr(owner, name) is original, f"{owner.__name__}.{name} not restored"
