@@ -160,7 +160,7 @@ def abr_derivative(
     _require_kernel_order(ord_)
     alpha, lam = ord_.alpha, ord_.lam
     cfg, shrink = cfg or DEFAULT_QUAD, max(1.0, abs(lam))
-    inner = QuadConfig(cfg.abs_tol / shrink, cfg.rel_tol / shrink, cfg.max_depth)
+    inner = QuadConfig(cfg.abs_tol / shrink, cfg.rel_tol / shrink)
     p = gen_ml_integral(side, MLParams(alpha, alpha, 1.0), lam, f, t, inner)
     return ord_.b_norm / (1.0 - alpha) * (f.fn(t) + lam * p)
 

@@ -1,8 +1,9 @@
 """Integration and differentiation primitives behind the fractional operators.
 
-``adaptive_gl`` is a globally adaptive Gauss-Legendre scheme: panels carry an
-embedded error estimate (order n against order n-2 on the same nodes span)
-and the worst panel is bisected until the summed estimate meets tolerance.
+``adaptive_gl`` is a globally adaptive Gauss-Kronrod scheme: each panel is one
+set of 15 samples giving the Kronrod K15 value and, from the 7 Gauss nodes
+among them, the G7 value; |K15 - G7| is the panel's error estimate, and the
+worst panel is bisected until the summed estimate meets tolerance.
 The global strategy matters here because several operator integrands have
 weak endpoint kinks that a tolerance-halving recursion would over-refine.
 
@@ -18,16 +19,30 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable
-
-import numpy as np
 
 from .errors import DepthExceeded, DomainError, NonFiniteIntegrand
 
 _EPS_THIRD = (2.0 ** -52) ** (1.0 / 3.0)
 _PANEL_BUDGET = 4000
-_PANEL_ORDER = 15
+_MAX_DEPTH = 40
+
+# G7/K15 on [-1, 1] (QUADPACK qk15): (node, Kronrod weight, Gauss weight) for
+# the nodes x >= 0; the rule is symmetric, and Kronrod-only nodes carry Gauss
+# weight 0.  K15 is exact to degree 22, G7 to degree 13.
+_GK15_HALF = (
+    (0.9914553711208126, 0.022935322010529224, 0.0),
+    (0.9491079123427585, 0.06309209262997856, 0.1294849661688697),
+    (0.8648644233597691, 0.10479001032225019, 0.0),
+    (0.7415311855993945, 0.14065325971552592, 0.27970539148927664),
+    (0.5860872354676911, 0.1690047266392679, 0.0),
+    (0.4058451513773972, 0.19035057806478542, 0.3818300505051189),
+    (0.20778495500789848, 0.20443294007529889, 0.0),
+    (0.0, 0.20948214108472782, 0.4179591836734694),
+)
+_GK15 = tuple(
+    (sign * x, wk, wg) for x, wk, wg in _GK15_HALF for sign in ((1.0, -1.0) if x else (1.0,))
+)
 
 
 @dataclass(frozen=True)
@@ -61,43 +76,28 @@ class RealFunction:
 class QuadConfig:
     abs_tol: float = 1e-10
     rel_tol: float = 1e-10
-    max_depth: int = 40
 
     def __post_init__(self) -> None:
         if self.abs_tol <= 0 or self.rel_tol <= 0:
             raise DomainError("quadrature tolerances must be positive")
-        if self.max_depth < 1:
-            raise DomainError("max_depth must be at least 1")
 
 
 DEFAULT_QUAD = QuadConfig()
 
 
-@lru_cache(maxsize=None)
-def _gl_rule(order: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    x, w = np.polynomial.legendre.leggauss(order)
-    return tuple(float(v) for v in x), tuple(float(v) for v in w)
-
-
-def _gl_sum(f: Callable[[float], float], mid: float, half: float, order: int) -> float:
-    """Order-``order`` Gauss-Legendre sum on [mid - half, mid + half]."""
-    xs, ws = _gl_rule(order)
-    acc = 0.0
-    for xi, wi in zip(xs, ws):
-        t = mid + half * xi
+def _eval_panel(f: Callable[[float], float], lo: float, hi: float) -> tuple[float, float]:
+    """K15 integral of f over [lo, hi] and its error estimate |K15 - G7|."""
+    half = 0.5 * (hi - lo)
+    mid = 0.5 * (hi + lo)
+    k15 = g7 = 0.0
+    for x, wk, wg in _GK15:
+        t = mid + half * x
         v = f(t)
         if not math.isfinite(v):
             raise NonFiniteIntegrand(f"integrand returned {v!r} at t={t!r}")
-        acc += wi * v
-    return half * acc
-
-
-def _eval_panel(f: Callable[[float], float], lo: float, hi: float) -> tuple[float, float]:
-    """Integral estimate of order _PANEL_ORDER plus the embedded order-2-lower estimate."""
-    half = 0.5 * (hi - lo)
-    mid = 0.5 * (hi + lo)
-    value = _gl_sum(f, mid, half, _PANEL_ORDER)
-    return value, abs(value - _gl_sum(f, mid, half, _PANEL_ORDER - 2))
+        k15 += wk * v
+        g7 += wg * v
+    return half * k15, abs(half * (k15 - g7))
 
 
 def adaptive_gl(
@@ -121,10 +121,10 @@ def adaptive_gl(
     seq = 1
     while total_err > max(cfg.abs_tol, cfg.rel_tol * abs(total)):
         neg_err, _, plo, phi, depth, pval, perr = heapq.heappop(heap)
-        if depth >= cfg.max_depth or len(heap) >= _PANEL_BUDGET:
+        if depth >= _MAX_DEPTH or len(heap) >= _PANEL_BUDGET:
             limit = (
-                f"bisection depth {cfg.max_depth}"
-                if depth >= cfg.max_depth
+                f"bisection depth {_MAX_DEPTH}"
+                if depth >= _MAX_DEPTH
                 else f"{_PANEL_BUDGET} panels on [{lo:g}, {hi:g}]"
             )
             raise DepthExceeded(

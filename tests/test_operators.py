@@ -425,8 +425,10 @@ def _by_parts_setup(case):
     return side, o, a, b, t, scale, dist
 
 
+# c excludes subnormals: they carry too few bits for a bound relative to |c|
+# (c = 2.2e-313 leaves a residue of about 50 units of 4.9e-324)
 @settings(max_examples=60, deadline=None)
-@given(_kernel_cases(), st.floats(-3.0, 3.0))
+@given(_kernel_cases(), st.floats(-3.0, 3.0, allow_subnormal=False))
 def test_abc_of_a_constant_is_zero(case, c):
     side, o, a, b, t, scale, _ = _by_parts_setup(case)
     f = rf(lambda x: c, a, b, deriv=_no_derivative)

@@ -32,6 +32,18 @@ def test_golden_integrand():
     assert abs(adaptive_gl(f, 0.0, 1.0, tight) - GOLDEN) <= 1e-12
 
 
+def test_panel_rule_exactness():
+    # K15 is exact to degree 22; G7 only to degree 13, so |K15 - G7| first
+    # opens at x^14.  Guards the hard-coded node and weight table.
+    for k in range(23):
+        value, err = quadrature._eval_panel(lambda x, k=k: x**k, 0.0, 1.0)
+        assert abs(value - 1.0 / (k + 1)) <= 1e-15, k
+        if k <= 13:
+            assert err <= 1e-15, k
+        elif k == 14:
+            assert err > 1e-10
+
+
 def test_empty_and_reversed_range():
     assert adaptive_gl(lambda x: 1.0, 2.0, 2.0) == 0.0
     with pytest.raises(DomainError):
@@ -52,8 +64,9 @@ def test_linearity_on_random_polynomials():
         assert abs(lhs - rhs) <= 2e-10 * max(1.0, abs(lhs))
 
 
-def test_depth_exceeded_on_harsh_singularity():
-    cfg = QuadConfig(abs_tol=1e-12, rel_tol=1e-12, max_depth=12)
+def test_depth_exceeded_on_harsh_singularity(monkeypatch):
+    monkeypatch.setattr(quadrature, "_MAX_DEPTH", 12)
+    cfg = QuadConfig(abs_tol=1e-12, rel_tol=1e-12)
     with pytest.raises(DepthExceeded) as info:
         adaptive_gl(lambda x: abs(x - 0.3) ** -0.9, 0.0, 1.0, cfg)
     msg = str(info.value)

@@ -29,14 +29,14 @@ def _tracer_class():
 Tracer = _tracer_class()
 
 
-def test_one_panel_costs_the_gl15_gl13_pair():
+def test_one_panel_costs_the_g7_k15_samples():
     tracer = Tracer()
     try:
         value = quadrature.adaptive_gl(lambda x: x**3 - 2.0 * x, 0.0, 1.0)
     finally:
         tracer.close()
     assert abs(value + 0.75) <= 1e-14
-    assert (tracer.counts.quad_calls, tracer.counts.quad_evals) == (1, 28)
+    assert (tracer.counts.quad_calls, tracer.counts.quad_evals) == (1, 15)
 
 
 def test_abc_left_grid_counts_one_ml_call_and_one_expr_eval_per_node():
@@ -53,10 +53,10 @@ def test_abc_left_grid_counts_one_ml_call_and_one_expr_eval_per_node():
     assert code == 0 and out.getvalue().startswith("t,value\n")
     c = tracer.counts
     # the node t = a needs no integral; the other two integrate f times the
-    # E_{a,a} kernel in one 28-evaluation panel each, then read one kernel
+    # E_{a,a} kernel in one 15-evaluation panel each, then read one kernel
     # value E_a and evaluate f at t and at the anchor
     assert (c.cli_commands, c.quad_calls, tracer.operator_calls["abc_derivative"]) == (1, 2, 3)
-    assert c.quad_evals == 56
+    assert c.quad_evals == 30
     assert (c.special_calls, c.expr_evals) == (c.quad_evals + 2, c.quad_evals + 4)
     assert c.cli_bytes_out == len(out.getvalue())
     for owner, name, original in patched:
