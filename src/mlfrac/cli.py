@@ -92,9 +92,16 @@ def _parse_interval(text: str) -> tuple[float, float]:
         lo, hi = float(lo_s), float(hi_s)
     except ValueError:
         raise argparse.ArgumentTypeError(f"interval must look like a:b, got {text!r}")
-    if not lo < hi:
-        raise argparse.ArgumentTypeError(f"interval needs a < b, got {text!r}")
+    if not -math.inf < lo < hi < math.inf:
+        raise argparse.ArgumentTypeError(f"interval needs finite a < b, got {text!r}")
     return lo, hi
+
+
+def _tolerance(text: str) -> float:
+    tol = float(text)  # argparse reports a ValueError here as a usage error
+    if not 0.0 < tol < math.inf:
+        raise argparse.ArgumentTypeError(f"tolerance must be finite and positive, got {text!r}")
+    return tol
 
 
 @functools.cache
@@ -136,7 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--alpha", type=float, default=0.5)
     verify.add_argument("--B", type=float, default=1.0, dest="b_norm")
     verify.add_argument("--interval", type=_parse_interval, default=(0.0, 1.0))
-    verify.add_argument("--tol", type=float, default=None)
+    verify.add_argument("--tol", type=_tolerance, default=None)
     verify.add_argument("--fn", default=None, help="first test function (identity-specific default)")
     verify.add_argument("--fn2", default=None, help="second test function where applicable")
     verify.add_argument("--side", choices=("left", "right"), default="left")

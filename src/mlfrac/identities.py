@@ -47,12 +47,15 @@ _TIGHT = QuadConfig(abs_tol=5e-13, rel_tol=1e-12)
 
 def default_tolerance() -> float:
     env = os.environ.get("MLFRAC_TOL")
-    if env:
-        try:
-            return float(env)
-        except ValueError as exc:
-            raise DomainError(f"MLFRAC_TOL is not a number: {env!r}") from exc
-    return DEFAULT_TOL
+    if not env:
+        return DEFAULT_TOL
+    try:
+        tol = float(env)
+    except ValueError as exc:
+        raise DomainError(f"MLFRAC_TOL is not a number: {env!r}") from exc
+    if not (0.0 < tol < math.inf):
+        raise DomainError(f"MLFRAC_TOL must be finite and positive, got {env!r}")
+    return tol
 
 
 @dataclass(frozen=True)
@@ -79,7 +82,8 @@ class IdentityReport:
         if not np.all(np.isfinite(lhs)) or not np.all(np.isfinite(rhs)):
             err = math.inf
         object.__setattr__(self, "abs_err", err)
-        object.__setattr__(self, "passed", bool(err <= self.tol))
+        # a failed side makes err infinite, which no tolerance may pass
+        object.__setattr__(self, "passed", bool(math.isfinite(err) and err <= self.tol))
 
     def to_json_dict(self) -> dict:
         lhs = self.lhs.tolist()

@@ -85,8 +85,8 @@ class GridFunction:
     singular: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        if not (self.a < self.b):
-            raise DomainError(f"GridFunction needs a < b, got [{self.a!r}, {self.b!r}]")
+        if not (-math.inf < self.a < self.b < math.inf):
+            raise DomainError(f"GridFunction needs finite a < b, got [{self.a!r}, {self.b!r}]")
         if self.n < 2:
             raise DomainError(f"GridFunction needs n >= 2, got {self.n}")
         vals = np.asarray(self.values, dtype=float)

@@ -56,8 +56,8 @@ class RealFunction:
     label: str = ""
 
     def __post_init__(self) -> None:
-        if not (self.a < self.b):
-            raise DomainError(f"RealFunction needs a < b, got [{self.a!r}, {self.b!r}]")
+        if not (-math.inf < self.a < self.b < math.inf):
+            raise DomainError(f"RealFunction needs finite a < b, got [{self.a!r}, {self.b!r}]")
 
     def __call__(self, t: float) -> float:
         return self.fn(t)

@@ -3,9 +3,9 @@
 A Lagrangian containing the left Caputo-type ML-kernel derivative yields the
 residual L1(s) + (right RL-type derivative of L2)(s); a right derivative in
 the Lagrangian mirrors to the left.  The quadratic-potential problem is
-solved as a fixed point of y -> y0 + c (AB-I-left . AB-I-right) y, with
-iterates stored on a uniform grid and the integrals of the piecewise-linear
-interpolant computed exactly through product-integration weights.
+solved as a fixed point of y -> y0 + c (AB-I-left . AB-I-right) y on a uniform
+grid; the RL part of each integral of the piecewise-linear interpolant is
+exact, one lag convolution of product-integration weights per application.
 """
 
 from __future__ import annotations
@@ -138,8 +138,11 @@ def solve_free_particle(
     singular so the tension stays visible.  ``amplitude`` scales the singular
     mode; the worked solution uses 1.
     """
-    if b <= 0.0:
-        raise DomainError(f"solve_free_particle needs b > 0, got {b!r}")
+    if not (0.0 < b < math.inf and math.isfinite(y0) and math.isfinite(amplitude)):
+        raise DomainError(
+            f"solve_free_particle needs 0 < b < inf and finite y0, amplitude; "
+            f"got b={b!r}, y0={y0!r}, amplitude={amplitude!r}"
+        )
     cfg = cfg or DEFAULT_SOLVER
     n = cfg.grid_n
     ts = np.linspace(0.0, b, n + 1)
@@ -193,33 +196,24 @@ def fractional_velocity(grid: GridFunction, ord_: FracOrder) -> RealFunction:
     )
 
 
-def rl_integral_matrix(alpha: float, a: float, b: float, n: int) -> np.ndarray:
-    """Product-integration weights for the left RL integral on a uniform grid.
+def rl_integral_on_grid(values: np.ndarray, alpha: float, h: float) -> np.ndarray:
+    """Exact left RL integral of the linear interpolant of ``values`` (step h) at every node.
 
-    Row i gives the exact order-alpha integral at node i of the piecewise-
-    linear interpolant of the samples.  The right-sided matrix is the double
-    reversal of this one.
+    Product integration: q1[d], q2[d] are the moments of the cell d steps back
+    against its two hat functions, so node i is a lag convolution with the
+    kernel K[k] = q1[k] + q2[k+1], less the q2 term of node 0, which has no
+    cell to its left.  The right integral is this one on reversed values, reversed.
     """
     if not (alpha > 0.0):
-        raise DomainError(f"rl_integral_matrix needs alpha > 0, got {alpha!r}")
-    h = (b - a) / n
-    d = np.arange(0, n + 1, dtype=float)
-    upper = (d * h) ** alpha
-    upper1 = (d * h) ** (alpha + 1.0)
-    # per-cell moments against the two hat functions, indexed by i-j
-    q1 = np.zeros(n + 1)
-    q2 = np.zeros(n + 1)
-    dd = d[1:]
-    lo_p = ((dd - 1.0) * h) ** alpha
-    lo_p1 = ((dd - 1.0) * h) ** (alpha + 1.0)
-    q1[1:] = (upper1[1:] - lo_p1) / (alpha + 1.0) - (dd - 1.0) * h * (upper[1:] - lo_p) / alpha
-    q2[1:] = dd * h * (upper[1:] - lo_p) / alpha - (upper1[1:] - lo_p1) / (alpha + 1.0)
-    w = np.zeros((n + 1, n + 1))
-    for dist in range(1, n + 1):
-        rows = np.arange(dist, n + 1)
-        w[rows, rows - dist] += q1[dist]
-        w[rows, rows - dist + 1] += q2[dist]
-    return w / (math.gamma(alpha) * h)
+        raise DomainError(f"rl_integral_on_grid needs alpha > 0, got {alpha!r}")
+    n = len(values) - 1
+    x = np.arange(0, n + 2, dtype=float) * h
+    dp = np.diff(x**alpha) / alpha
+    dp1 = np.diff(x ** (alpha + 1.0)) / (alpha + 1.0)
+    q1 = np.concatenate(([0.0], dp1 - x[:-1] * dp))
+    q2 = np.concatenate(([0.0], x[1:] * dp - dp1))
+    lagged = np.convolve(q1[:-1] + q2[1:], values)[: n + 1] - values[0] * q2[1:]
+    return lagged / (math.gamma(alpha) * h)
 
 
 def solve_quadratic_potential(
@@ -231,26 +225,31 @@ def solve_quadratic_potential(
 ) -> PicardResult:
     """Picard iteration for y = y0 + c (AB-I-left . AB-I-right) y on [0, b].
 
-    Iterates live on the uniform grid; the composed integral operator of the
-    linear interpolant is applied exactly as a dense matrix.  Divergence is
-    detected at run time (five consecutive growing steps, or the iteration
-    budget); the a-posteriori contraction bound |c| K is reported.
+    Iterates live on the uniform grid; each AB integral of the linear
+    interpolant is applied exactly as w0 y + w1 RL(y), the RL part one lag
+    convolution.  Divergence is detected at run time (five consecutive
+    growing steps, or the iteration budget).  The reported contraction bound
+    is |c| K, with K the infinity-norm of the composed operator: its entries
+    are non-negative, so K is its largest row sum, the image of all-ones.
     """
     if ord_.alpha >= 1.0:
         raise DegenerateOrder("the ML-kernel integral requires alpha < 1")
-    if b <= 0.0:
-        raise DomainError(f"solve_quadratic_potential needs b > 0, got {b!r}")
+    if not (0.0 < b < math.inf and math.isfinite(c) and math.isfinite(y0)):
+        raise DomainError(
+            f"solve_quadratic_potential needs 0 < b < inf and finite c, y0; "
+            f"got b={b!r}, c={c!r}, y0={y0!r}"
+        )
     cfg = cfg or DEFAULT_SOLVER
     n = cfg.grid_n
-    w0 = (1.0 - ord_.alpha) / ord_.b_norm
-    w1 = ord_.alpha / ord_.b_norm
-    eye = np.eye(n + 1)
-    w_left = rl_integral_matrix(ord_.alpha, 0.0, b, n)
-    w_right = w_left[::-1, ::-1]
-    m_left = w0 * eye + w1 * w_left
-    m_right = w0 * eye + w1 * w_right
-    composed = m_left @ m_right
-    bound = abs(c) * float(np.max(np.sum(np.abs(composed), axis=1)))
+    alpha, h = ord_.alpha, b / n
+    w0 = (1.0 - alpha) / ord_.b_norm
+    w1 = alpha / ord_.b_norm
+
+    def composed(y: np.ndarray) -> np.ndarray:
+        right = w0 * y + w1 * rl_integral_on_grid(y[::-1], alpha, h)[::-1]
+        return w0 * right + w1 * rl_integral_on_grid(right, alpha, h)
+
+    bound = abs(c) * float(np.max(composed(np.ones(n + 1))))
 
     base = np.full(n + 1, float(y0))
     y = base.copy()
@@ -259,7 +258,7 @@ def solve_quadratic_potential(
     converged = False
     iterations = 0
     for _ in range(cfg.fp_max_iter):
-        y_next = base + c * (composed @ y)
+        y_next = base + c * composed(y)
         change = float(np.max(np.abs(y_next - y)))
         iterations += 1
         if changes and change > changes[-1]:
@@ -283,7 +282,7 @@ def solve_quadratic_potential(
         )
     ratios = [c2 / c1 for c1, c2 in zip(changes, changes[1:]) if c1 > 0.0]
     q = max(ratios) if ratios else None
-    residual = float(np.max(np.abs(y - base - c * (composed @ y))))
+    residual = float(np.max(np.abs(y - base - c * composed(y))))
     grid = GridFunction(a=0.0, b=b, n=n, values=y)
     return PicardResult(
         grid=grid,

@@ -129,6 +129,12 @@ class TestGridCommands:
         p = mlfrac("deriv", "--op", "abc-left", "--alpha", "0.5", "--fn", "abs(x-0.5)^0.1", "--grid", "5")
         assert p.returncode == 0
 
+    def test_non_finite_interval_is_usage_error(self):
+        for interval in ("0:inf", "-inf:1", "nan:1"):
+            p = mlfrac("integ", "--op", "ab-left", "--alpha", "0.5", "--fn", "x", f"--interval={interval}")
+            assert p.returncode == 2
+            assert "interval needs finite a < b" in p.stderr and "Warning" not in p.stderr
+
     def test_non_finite_literal_is_usage_error(self):
         p = mlfrac("integ", "--op", "ab-left", "--alpha", "0.5", "--fn", "1e999*x", "--grid", "3")
         assert p.returncode == 2
@@ -165,6 +171,17 @@ class TestVerifyCommand:
         assert payload["lhs"] is None and payload["rhs"] is None
         assert payload["error"].startswith("DomainError: division by zero")
 
+    def test_failed_check_never_passes_any_tolerance(self):
+        failing = ("verify", "--id", "caputo-rl", "--fn", "1/(x-0.5)")
+        for tol in ("inf", "nan", "0", "-1"):
+            p = mlfrac(*failing, "--tol", tol)
+            assert p.returncode == 2
+            assert "tolerance must be finite and positive" in p.stderr
+        p = mlfrac(*failing, env_extra={"MLFRAC_TOL": "inf"})
+        assert p.returncode == 3
+        assert "MLFRAC_TOL must be finite and positive" in p.stderr
+        assert p.stdout == ""
+
     def test_tol_flag_overrides(self):
         p = mlfrac("verify", "--id", "diff-formula", "--tol", "1e-3")
         assert p.returncode == 0
@@ -196,6 +213,18 @@ class TestSolveCommand:
         assert payload["residual_sup"] <= 1e-7
         assert payload["contraction_q"] < 1.0
         assert len(payload["values"]) == 17
+
+
+    def test_non_finite_scalars_rejected(self):
+        for problem, flag, value in (
+            ("free-particle", "--b", "inf"),
+            ("free-particle", "--amplitude", "nan"),
+            ("quadratic", "--c", "nan"),
+            ("quadratic", "--b", "inf"),
+        ):
+            p = mlfrac("solve-el", "--problem", problem, "--alpha", "0.5", flag, value, "--grid-n", "8")
+            assert p.returncode == 3
+            assert "finite" in p.stderr and p.stdout == ""
 
 
 def _reject_constant(name):

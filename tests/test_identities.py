@@ -56,6 +56,17 @@ class TestReport:
         r2 = IdentityReport("t", {}, np.array([1.0]), np.array([1.1]), tol=1e-5)
         assert not r2.passed
 
+    def test_no_tolerance_passes_a_failed_side(self):
+        for bad in (math.nan, math.inf):
+            r = IdentityReport("t", {}, np.array([bad]), np.array([1.0]), tol=math.inf)
+            assert r.abs_err == math.inf and not r.passed
+
+    def test_env_tolerance_must_be_finite_and_positive(self, monkeypatch):
+        for text in ("inf", "nan", "0", "-1e-3"):
+            monkeypatch.setenv("MLFRAC_TOL", text)
+            with pytest.raises(DomainError, match="finite and positive"):
+                default_tolerance()
+
     def test_shape_mismatch(self):
         with pytest.raises(DomainError):
             IdentityReport("t", {}, np.array([1.0, 2.0]), np.array([1.0]), tol=1e-5)

@@ -79,6 +79,9 @@ class TestGridFunction:
             GridFunction(0.0, 1.0, 4, np.array([0, 1, math.nan, 3, 4.0]))
         g = GridFunction(0.0, 1.0, 4, np.array([math.inf, 1, 2, 3, 4.0]), singular=(0,))
         assert g.singular == (0,)
+        for a, b in ((0.0, math.inf), (-math.inf, 0.0), (math.nan, 1.0)):
+            with pytest.raises(DomainError, match="finite a < b"):
+                GridFunction(a, b, 4, np.zeros(5))
 
     def test_interpolant(self):
         vals = np.array([0.0, 1.0, 4.0, 9.0, 16.0])

@@ -172,6 +172,12 @@ def test_rl_domain_errors():
             rl_weighted_quad(f, 0.5, anchor, 0.5)
 
 
+def test_real_function_needs_a_finite_interval():
+    for a, b in ((0.0, math.inf), (-math.inf, 0.0), (0.0, math.nan), (1.0, 1.0)):
+        with pytest.raises(DomainError, match="finite a < b"):
+            RealFunction(fn=lambda s: 1.0, a=a, b=b)
+
+
 def test_central_diff_basics():
     assert abs(central_diff(_rf(lambda x: x * x), 1.0) - 2.0) <= 1e-9
     assert abs(central_diff(_rf(math.sin, a=-1.0, b=1.0), 0.0) - 1.0) <= 1e-9

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from mlfrac.variational import (
     fractional_velocity,
     natural_bc,
     residual_grid,
-    rl_integral_matrix,
+    rl_integral_on_grid,
     solve_free_particle,
     solve_quadratic_potential,
 )
@@ -80,6 +81,9 @@ class TestFreeParticle:
     def test_validation(self):
         with pytest.raises(DomainError):
             solve_free_particle(HALF, 0.0, -1.0)
+        for y0, b, amplitude in ((0.0, math.inf, 1.0), (math.nan, 1.0, 1.0), (0.0, 1.0, math.inf)):
+            with pytest.raises(DomainError, match="finite"):
+                solve_free_particle(HALF, y0, b, SolverConfig(grid_n=8), amplitude)
 
 
 class TestElResidual:
@@ -114,31 +118,63 @@ class TestElResidual:
         assert all(math.isnan(r.values[i]) for i in r.singular)
 
 
+def dense_composed(ord_, b, n):
+    """M_L M_R of the solver as dense matrices, filled cell by cell: the cell
+    [x_j, x_j+1] below node i adds its two hat-function moments to columns j
+    and j+1 of row i.  M_R is M_L reversed in both indices."""
+    alpha, h = ord_.alpha, b / n
+    hi = np.arange(1, n + 1) * h
+    lo = hi - h
+    p0 = (hi**alpha - lo**alpha) / alpha
+    p1 = (hi ** (alpha + 1.0) - lo ** (alpha + 1.0)) / (alpha + 1.0)
+    q1, q2 = p1 - lo * p0, hi * p0 - p1
+    w = np.zeros((n + 1, n + 1))
+    for i in range(1, n + 1):
+        for j in range(i):
+            w[i, j] += q1[i - j - 1]
+            w[i, j + 1] += q2[i - j - 1]
+    w /= math.gamma(alpha) * h
+    m_left = ((1.0 - alpha) * np.eye(n + 1) + alpha * w) / ord_.b_norm
+    return m_left @ m_left[::-1, ::-1]
+
+
 class TestWeightMatrix:
     def test_exact_on_linear(self):
         for alpha in (0.3, 0.5, 0.75):
-            w = rl_integral_matrix(alpha, 0.0, 1.0, 40)
             ts = np.linspace(0.0, 1.0, 41)
-            got = w @ ts
+            got = rl_integral_on_grid(ts, alpha, 1.0 / 40)
             want = ts ** (1.0 + alpha) / math.gamma(2.0 + alpha)
             assert np.max(np.abs(got - want)) <= 1e-14
-            gotc = w @ np.ones(41)
+            gotc = rl_integral_on_grid(np.ones(41), alpha, 1.0 / 40)
             wantc = ts**alpha / math.gamma(1.0 + alpha)
             assert np.max(np.abs(gotc - wantc)) <= 1e-14
 
     def test_matches_quadrature_of_interpolant(self):
-        # dual route: dense weights against the adaptive substitution path,
+        # dual route: lag convolution against the adaptive substitution path,
         # both applied to the same piecewise-linear function
         n = 16
         ts = np.linspace(0.0, 1.0, n + 1)
         vals = np.sin(2.0 * ts) + ts**2
         grid = GridFunction(0.0, 1.0, n, vals)
         interp = grid.to_real_function()
-        w = rl_integral_matrix(0.5, 0.0, 1.0, n)
-        got = w @ vals
+        got = rl_integral_on_grid(vals, 0.5, grid.h)
         for i in (4, 9, 16):
             direct = rl_weighted_quad(interp, 0.5, 0.0, float(ts[i]))
             assert abs(got[i] - direct) <= 1e-9
+
+    def test_right_side_is_the_reversal(self):
+        # the right RL integral is ab_integral(Side.Right) less its w0 f term
+        ord_ = FracOrder(0.4, 0.7)
+        n, b = 20, 1.5
+        ts = np.linspace(0.0, b, n + 1)
+        vals = np.cos(3.0 * ts) + ts
+        interp = GridFunction(0.0, b, n, vals).to_real_function()
+        got = rl_integral_on_grid(vals[::-1], ord_.alpha, b / n)[::-1]
+        w0, w1 = (1.0 - ord_.alpha) / ord_.b_norm, ord_.alpha / ord_.b_norm
+        for i in (0, 7, 13, 19, 20):
+            direct = (ab_integral(Side.Right, interp, ord_, float(ts[i])) - w0 * vals[i]) / w1
+            assert abs(got[i] - direct) <= 1e-9
+        assert got[-1] == 0.0
 
 
 class TestQuadraticPotential:
@@ -174,6 +210,36 @@ class TestQuadraticPotential:
     def test_alpha_one_rejected(self):
         with pytest.raises(DegenerateOrder):
             solve_quadratic_potential(FracOrder(1.0), 0.1, 1.0, 1.0)
+
+    def test_non_finite_scalars_rejected_at_once(self):
+        for c, y0, b in ((math.nan, 1.0, 1.0), (0.1, math.inf, 1.0), (0.1, 1.0, math.inf)):
+            with pytest.raises(DomainError, match="finite"):
+                solve_quadratic_potential(HALF, c, y0, b, SolverConfig(fp_max_iter=1))
+
+    @pytest.mark.parametrize("n", [16, 64])
+    @pytest.mark.parametrize("alpha", [0.25, 0.75])
+    def test_matches_dense_system(self, n, alpha):
+        # bound = |c| times the largest row sum of the non-negative M_L M_R,
+        # and the fixed point solves (I - c M_L M_R) y = y0
+        ord_, c, y0, b = FracOrder(alpha, 0.7), 0.1, 1.3, 1.0
+        composed = dense_composed(ord_, b, n)
+        assert np.all(composed >= 0.0)
+        res = solve_quadratic_potential(ord_, c, y0, b, SolverConfig(grid_n=n, fp_tol=1e-14))
+        want_bound = abs(c) * np.max(np.sum(composed, axis=1))
+        assert abs(res.contraction_bound - want_bound) <= 1e-14 * want_bound
+        direct = np.linalg.solve(np.eye(n + 1) - c * composed, np.full(n + 1, y0))
+        assert np.max(np.abs(res.grid.values - direct)) <= 1e-12
+
+    def test_large_grid_allocates_no_dense_operator(self):
+        # one (2001 x 2001) float matrix alone is 32 MB
+        solve_quadratic_potential(HALF, 0.1, 1.0, 1.0, SolverConfig(grid_n=16))
+        tracemalloc.start()
+        try:
+            solve_quadratic_potential(HALF, 0.1, 1.0, 1.0, SolverConfig(grid_n=2000))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
 
 
 class TestFractionalVelocity:
