@@ -417,8 +417,15 @@ def run(spec: RunSpec) -> int:
     return _run_solve(spec)
 
 
+def _bind_interval(argv: list[str]) -> list[str]:
+    """'--interval -1:1' as '--interval=-1:1': argparse takes a separate value
+    that starts with '-' for an option unless it reads as a plain number."""
+    args = iter(argv)
+    return [f"--interval={next(args, '')}" if arg == "--interval" else arg for arg in args]
+
+
 def run_cli(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(_bind_interval(sys.argv[1:] if argv is None else argv))
     try:
         spec = _spec_from_args(args)
         return run(spec)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateOrder, DomainError, SingularityError
-from .quadrature import DEFAULT_QUAD, QuadConfig, RealFunction, adaptive_gl, rl_weighted_quad
+from .quadrature import DEFAULT_QUAD, QuadConfig, RealFunction, adaptive_gl, power_quad, rl_weighted_quad
 from .special import MLParams, ml_one, ml_value
 
 #: ML-kernel operators reject orders at or above this value: the kernel rate
@@ -59,8 +59,8 @@ class FracOrder:
     def __post_init__(self) -> None:
         if not (0.0 < self.alpha <= 1.0):
             raise DomainError(f"order must lie in (0, 1], got {self.alpha!r}")
-        if not (self.b_norm > 0.0):
-            raise DomainError(f"normalization must be positive, got {self.b_norm!r}")
+        if not (0.0 < self.b_norm < math.inf):
+            raise DomainError(f"normalization must be positive and finite, got {self.b_norm!r}")
 
     @property
     def lam(self) -> float:
@@ -264,31 +264,12 @@ def gen_ml_integral(
 ) -> float:
     """Generalized ML integral operator with kernel dist^(mu-1) E(omega dist^rho).
 
-    For mu < 1 the weak kernel singularity is removed by the same power
-    substitution used for the RL integral, applied to the factored kernel.
+    :func:`power_quad` grades the substitution so that E's argument is
+    omega w^m, a power series in w, for every mu > 0.
     """
     if not f.contains(x):
         raise DomainError(f"x={x!r} outside [{f.a!r}, {f.b!r}]")
     rho, mu, gp = p.rho, p.mu, p.gamma_p
-    anchor, sign = side.anchor(f), side.sign
-    if x == anchor:
-        return 0.0
-
-    if mu >= 1.0:
-        def integrand(t: float) -> float:
-            d = sign * (x - t)
-            return d ** (mu - 1.0) * ml_value(rho, mu, gp, omega * d**rho) * f.fn(t)
-
-        return adaptive_gl(integrand, min(anchor, x), max(anchor, x), cfg)
-
-    # u = dist^mu; dist^(mu-1) dt collapses to du/mu exactly.
-    inv_mu = 1.0 / mu
-    span = abs(x - anchor)
-
-    def integrand_u(u: float) -> float:
-        d = u**inv_mu
-        if d > span:
-            d = span
-        return ml_value(rho, mu, gp, omega * d**rho) * f.fn(x - sign * d)
-
-    return adaptive_gl(integrand_u, 0.0, span**mu, cfg) / mu
+    return power_quad(
+        f.fn, side.anchor(f), x, mu, rho, cfg, lambda z: ml_value(rho, mu, gp, omega * z)
+    )

@@ -31,6 +31,7 @@ Z_MAX = 100.0
 
 _REL_STOP = 1e-16
 _CANCEL_RATIO = 1e-13
+_CANCEL_LIMIT = 1e-6 / 2.0**-52  # ml_value's bound on max_term / |value|
 
 
 def gamma_fn(x: float) -> float:
@@ -70,10 +71,10 @@ class MLParams:
     gamma_p: float = 1.0
 
     def __post_init__(self) -> None:
-        if not (self.rho > 0.0):
-            raise DomainError(f"MLParams requires rho > 0, got {self.rho!r}")
-        if not (self.mu > 0.0):
-            raise DomainError(f"MLParams requires mu > 0, got {self.mu!r}")
+        if not (0.0 < self.rho < math.inf):
+            raise DomainError(f"MLParams requires finite rho > 0, got {self.rho!r}")
+        if not (0.0 < self.mu < math.inf):
+            raise DomainError(f"MLParams requires finite mu > 0, got {self.mu!r}")
 
 
 @dataclass(frozen=True)
@@ -180,10 +181,18 @@ def ml_eval(p: MLParams, z: float, record_terms: bool = False) -> SeriesResult:
 
 
 def ml_value(rho: float, mu: float, gamma_p: float, z: float) -> float:
-    """Bare series value, for the operator kernels' hot loops."""
+    """Bare series value, for the operator kernels' hot loops.  Raises
+    ConvergenceError where cancellation may have cost more than 1e-6 of the
+    value: eps times the largest term exceeds that."""
     if not abs(z) <= Z_MAX:  # also rejects nan
         raise DomainError(f"ml_value working domain is |z| <= {Z_MAX:g}, got z={z!r}")
-    return _sum_series(rho, mu, gamma_p, z)[0]
+    value, _, max_term = _sum_series(rho, mu, gamma_p, z)
+    if max_term > _CANCEL_LIMIT * abs(value):
+        raise ConvergenceError(
+            f"Mittag-Leffler series lost its digits to cancellation: value {value:.3g}, largest "
+            f"term {max_term:.3g} (rho={rho:g}, mu={mu:g}, gamma={gamma_p:g}, z={z:g})"
+        )
+    return value
 
 
 def ml_one(alpha: float, z: float) -> float:

@@ -135,6 +135,21 @@ class TestGridCommands:
             assert p.returncode == 2
             assert "interval needs finite a < b" in p.stderr and "Warning" not in p.stderr
 
+    def test_negative_interval_after_a_space(self):
+        # argparse alone would read "-1:1" as an unknown option
+        for interval, (a, b) in (("-1:1", (-1.0, 1.0)), ("-2.5:-0.5", (-2.5, -0.5))):
+            p = mlfrac("integ", "--op", "rl-left", "--alpha", "0.5", "--interval", interval,
+                       "--fn", "1", "--grid", "3")
+            assert p.returncode == 0, p.stderr
+            rows = [[float(v) for v in line.split(",")] for line in p.stdout.strip().split("\n")[1:]]
+            assert [t for t, _ in rows] == [a, (a + b) / 2, b]
+            assert abs(rows[-1][1] - (b - a) ** 0.5 / math.gamma(1.5)) <= 1e-12
+
+    def test_infinite_normalization_is_numeric_error(self):
+        p = mlfrac("integ", "--op", "ab-left", "--alpha", "0.5", "--B", "inf", "--fn", "x", "--grid", "3")
+        assert p.returncode == 3 and p.stdout == ""
+        assert "positive and finite" in p.stderr
+
     def test_non_finite_literal_is_usage_error(self):
         p = mlfrac("integ", "--op", "ab-left", "--alpha", "0.5", "--fn", "1e999*x", "--grid", "3")
         assert p.returncode == 2

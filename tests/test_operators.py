@@ -1,5 +1,6 @@
 import math
 import random
+import time
 
 import mpmath
 import numpy as np
@@ -7,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mlfrac import operators
-from mlfrac.errors import DegenerateOrder, DomainError, SingularityError
+from mlfrac import operators, quadrature
+from mlfrac.errors import DegenerateOrder, DomainError, MlfracError, SingularityError
 from mlfrac.operators import (
     FracOrder,
     GridFunction,
@@ -55,8 +56,9 @@ class TestFracOrder:
             FracOrder(0.0)
         with pytest.raises(DomainError):
             FracOrder(1.2)
-        with pytest.raises(DomainError):
-            FracOrder(0.5, b_norm=0.0)
+        for b_norm in (0.0, math.inf, math.nan):
+            with pytest.raises(DomainError):
+                FracOrder(0.5, b_norm=b_norm)
 
     def test_kernel_rate(self):
         assert FracOrder(0.5).lam == -1.0
@@ -308,7 +310,7 @@ class TestQReflect:
             lambda s, f, t: abr_derivative(s, f, o, t),
             lambda s, f, t: abr_derivative_kernel_diff(s, f, o, t),
             lambda s, f, t: rl_derivative(s, f, o.alpha, t),
-            # mu < 1 takes the power-substitution branch, mu >= 1 the direct one
+            # mu below and above 1: the substitution's powers differ
             lambda s, f, t: gen_ml_integral(s, MLParams(o.alpha, 0.7, 1.0), -0.8, f, t),
             lambda s, f, t: gen_ml_integral(s, MLParams(o.alpha, 1.5, 2.0), -0.8, f, t),
         ]
@@ -478,3 +480,76 @@ def test_abr_does_not_go_through_abc(monkeypatch):
     f = rf(lambda x: x * x, deriv=_no_derivative)
     for side in Side:
         assert math.isfinite(abr_derivative(side, f, HALF, 0.3))
+
+
+def _ml_mp(alpha: float, beta: float, z: float) -> float:
+    """E_{alpha,beta}(z) summed in mpmath with enough digits for the cancellation."""
+    with mpmath.workdps(30 + int(abs(z) ** (1.0 / alpha) / math.log(10))):
+        a, zz = mpmath.mpf(alpha), mpmath.mpf(z)
+        return float(mpmath.nsum(lambda j: zz**j * mpmath.rgamma(a * j + beta), [0, mpmath.inf]))
+
+
+# At the default tolerance 1e-10 the graded substitution lands within 6e-12 of
+# these closed forms; the u = d^alpha one missed them by up to 6e-10.
+GRADED_ALPHAS = (0.3, 0.6, 0.75, 0.9)
+
+
+@pytest.mark.parametrize("alpha", GRADED_ALPHAS)
+def test_rl_integral_of_monomials_is_the_power_rule(alpha):
+    # I^a x^k = k!/Gamma(k+1+a) t^(k+a), on either side
+    o = FracOrder(alpha)
+    for k in range(4):
+        left = rf(lambda x, k=k: x**k)
+        right = rf(lambda x, k=k: (1.0 - x) ** k)
+        for t in (0.3, 0.7, 1.0):
+            want = math.factorial(k) / math.gamma(k + 1 + alpha) * t ** (k + alpha)
+            assert rl_integral(Side.Left, left, o, t) == pytest.approx(want, rel=1e-11, abs=0)
+            assert rl_integral(Side.Right, right, o, 1.0 - t) == pytest.approx(want, rel=1e-11, abs=0)
+
+
+@pytest.mark.parametrize("alpha", GRADED_ALPHAS)
+def test_gen_ml_integral_of_monomials_is_the_convolution_closed_form(alpha):
+    # integral_0^x E_a(om (x-t)^a) t^k dt = k! x^(k+1) E_{a,k+2}(om x^a)
+    p, om = MLParams(alpha, 1.0, 1.0), -1.0
+    for k in range(3):
+        f = rf(lambda x, k=k: x**k)
+        for x in (0.4, 1.0):
+            want = math.factorial(k) * x ** (k + 1) * _ml_mp(alpha, k + 2.0, om * x**alpha)
+            assert gen_ml_integral(Side.Left, p, om, f, x) == pytest.approx(want, rel=1e-11, abs=0)
+
+
+def test_graded_substitution_needs_a_third_of_the_panels(monkeypatch):
+    # the u = d^alpha substitution took 188 G7/K15 panels for this grid
+    panels = 0
+    panel = quadrature._eval_panel
+
+    def counted(f, lo, hi):
+        nonlocal panels
+        panels += 1
+        return panel(f, lo, hi)
+
+    monkeypatch.setattr(quadrature, "_eval_panel", counted)
+    f = rf(lambda x: x * x + math.sin(x))
+    for i in range(11):
+        abr_derivative(Side.Left, f, FracOrder(0.9), i / 10)
+    assert panels <= 188 // 3
+
+
+def test_near_cap_abc_of_x_is_right_or_a_typed_error():
+    # every input the API accepts gets the right number or a typed error,
+    # quickly; (B/(1-a)) t E_{a,2}(lam t^a) at the quarter nodes up to |z| = 49
+    returned = 0
+    for alpha, b in ((0.9, 2.0), (0.95, 1.0), (0.98, 1.0)):
+        o, f = FracOrder(alpha), rf(lambda x: x, 0.0, b)
+        for t in (0.25 * b, 0.5 * b, 0.75 * b, b):
+            start = time.process_time()
+            try:
+                got = abc_derivative(Side.Left, f, o, t)
+            except MlfracError:
+                got = None
+            assert time.process_time() - start < 1.0, (alpha, t)
+            if got is not None:
+                returned += 1
+                want = t / (1.0 - alpha) * _ml_mp(alpha, 2.0, o.lam * t**alpha)
+                assert abs(got - want) <= 1e-8 * abs(want), (alpha, t)
+    assert returned >= 5

@@ -166,6 +166,8 @@ def test_rl_domain_errors():
             rl_weighted_quad(f, 0.5, anchor, -0.5)
         with pytest.raises(DomainError):
             rl_weighted_quad(f, -0.5, anchor, 0.5)
+        with pytest.raises(DomainError):
+            rl_weighted_quad(f, math.inf, anchor, 0.5)
         assert rl_weighted_quad(f, 0.5, anchor, anchor) == 0.0
     for anchor in (f.b + 0.5, f.a - 0.5):
         with pytest.raises(DomainError):
