@@ -23,12 +23,15 @@ from .operators import (
     FracOrder,
     GridFunction,
     Side,
+    _require_kernel_order,
     abr_derivative,
     gen_ml_integral,
     opposite,
 )
 from .quadrature import QuadConfig, RealFunction
-from .special import MLParams, ml_value
+from .special import Z_MAX, MLParams, exp_sum_kernel
+# unused here, but bench/tracing.py patches variational.ml_value
+from .special import ml_value  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -157,43 +160,66 @@ def solve_free_particle(
 def fractional_velocity(grid: GridFunction, ord_: FracOrder) -> RealFunction:
     """Left Caputo-type ML-kernel derivative of the grid's linear interpolant.
 
-    Exact, summed by parts over the slope jumps: with cell slopes s_j, the
-    jumps at the n+1 nodes are s_0, s_j - s_{j-1} and the closing -s_{n-1},
-    and with G(s) = s E_{alpha,2}(lam s^alpha) (an antiderivative of the
-    kernel) the value at t is (B/(1-alpha)) sum_{x_j < t} jump_j G(t - x_j).
-    The t-derivative is the same sum with the kernel E_alpha(lam s^alpha) in
-    place of G.  Much faster and smoother than pushing the piecewise-constant
-    slope through adaptive quadrature.
-    """
-    alpha = ord_.alpha
-    if alpha >= 1.0:
-        raise DegenerateOrder("fractional velocity needs alpha < 1")
-    lam = ord_.lam
-    scale = ord_.b_norm / (1.0 - alpha)
-    slopes = np.diff(grid.values) / grid.h
-    nodes = grid.ts.tolist()
-    jumps = np.diff(slopes, prepend=0.0, append=0.0).tolist()
+    Exact: with cell slopes s_i, the value at t is (B/(1-alpha)) times the
+    integral from a to t of s(x) E_alpha(lam (t-x)^alpha) dx.  The kernel is
+    the exponential sum of :func:`special.exp_sum_kernel`, so each of its M
+    terms carries a one-step recurrence over the cells (the fast
+    sum-of-exponentials L1 scheme of Jiang, Zhang, Zhang & Zhang,
+    Commun. Comput. Phys. 21(3), 2017):
 
-    def jump_sum(t: float, beta: float) -> float:
-        # s^(beta-1) E_{alpha,beta}(lam s^alpha): G for beta = 2, the kernel for beta = 1
-        acc = 0.0
-        for x, jump in zip(nodes[: bisect_left(nodes, t)], jumps):
-            s = t - x
-            acc += jump * s ** (beta - 1.0) * ml_value(alpha, beta, 1.0, lam * s**alpha)
-        return scale * acc
+        H[0] = 0,  H[i] = e^(-C h) H[i-1] + s_{i-1} (W/C)(1 - e^(-C h)),
+
+    and with t in cell i (x_i < t <= x_{i+1}, so a node closes the cell to
+    its left) and d = t - x_i,
+
+        value = (B/(1-alpha)) sum [e^(-C d) H[i] + s_i (W/C)(1 - e^(-C d))],
+        t-derivative = (B/(1-alpha)) sum [e^(-C d) (s_i W - C H[i])].
+
+    Construction takes O(n M) time and (n+1) M memory; each evaluation is
+    O(M) and makes no series call.  Raises :class:`DegenerateOrder` for
+    alpha >= ALPHA_KERNEL_CAP, and :class:`DomainError` for a grid with
+    singular entries, for |lam| (b-a)^alpha > Z_MAX (the rule's domain), for
+    orders below about 0.047 (see ``exp_sum_kernel``) and, at evaluation, for
+    t outside [a, b].
+    """
+    _require_kernel_order(ord_)
+    if grid.singular:
+        raise DomainError(
+            f"fractional velocity needs finite samples; entries {grid.singular} are singular"
+        )
+    alpha, lam = ord_.alpha, ord_.lam
+    a, b, n, h = grid.a, grid.b, grid.n, grid.h
+    if -lam * (b - a) ** alpha > Z_MAX:
+        raise DomainError(
+            f"fractional velocity needs |lam| (b-a)^alpha <= {Z_MAX:g}, "
+            f"got {-lam * (b - a) ** alpha:.4g}"
+        )
+    w, c = exp_sum_kernel(alpha, lam)
+    w_c = w / c
+    scale = ord_.b_norm / (1.0 - alpha)
+    slopes = (np.diff(grid.values) / h).tolist()
+    decay, ramp = np.exp(-c * h), w_c * -np.expm1(-c * h)
+    hist = np.zeros((n + 1, len(w)))
+    for i in range(1, n + 1):
+        hist[i] = decay * hist[i - 1] + slopes[i - 1] * ramp
+    nodes = grid.ts.tolist()
+
+    def cell(t: float) -> tuple[int, np.ndarray]:
+        # cell index and -C d
+        if not a <= t <= b:
+            raise DomainError(f"fractional velocity evaluated at t={t!r} outside [{a!r}, {b!r}]")
+        i = max(bisect_left(nodes, t) - 1, 0)
+        return i, c * (nodes[i] - t)
+
+    def fn(t: float) -> float:
+        i, x = cell(t)
+        return scale * float(np.exp(x) @ hist[i] - slopes[i] * (w_c @ np.expm1(x)))
 
     def deriv(t: float) -> float:
-        if t <= grid.a:
-            return scale * jumps[0]
-        return jump_sum(t, 1.0)
+        i, x = cell(t)
+        return scale * float(np.exp(x) @ (slopes[i] * w - c * hist[i]))
 
-    return RealFunction(
-        fn=lambda t: jump_sum(t, 2.0),
-        a=grid.a,
-        b=grid.b,
-        deriv=deriv,
-        label="ABC-D of interpolant",
-    )
+    return RealFunction(fn=fn, a=a, b=b, deriv=deriv, label="ABC-D of interpolant")
 
 
 def rl_integral_on_grid(values: np.ndarray, alpha: float, h: float) -> np.ndarray:

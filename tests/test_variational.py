@@ -29,6 +29,7 @@ from mlfrac.variational import (
 )
 
 HALF = FracOrder(0.5, 1.0)
+SMOOTH16 = GridFunction(0.0, 1.0, 16, np.linspace(0.0, 1.0, 17) ** 2)
 CFG8 = QuadConfig(abs_tol=1e-8, rel_tol=1e-8)
 
 
@@ -255,8 +256,9 @@ class TestFractionalVelocity:
             direct = abc_derivative(Side.Left, interp, HALF, t, cfg)
             assert abs(fv.fn(t) - direct) <= 1e-6
 
-    def test_one_kernel_call_per_node_below_t(self, monkeypatch):
-        # t in (x_m, x_{m+1}] sees the m+1 slope jumps at x_0..x_m
+    def test_no_series_call_at_any_t(self, monkeypatch):
+        # value and derivative come from the exponential sum, O(M) per point
+        # whatever the number of nodes below t
         calls = []
         real = variational.ml_value
 
@@ -268,11 +270,40 @@ class TestFractionalVelocity:
         n = 12
         ts = np.linspace(0.0, 1.0, n + 1)
         fv = fractional_velocity(GridFunction(0.0, 1.0, n, ts**2), HALF)
-        for m, t in ((0, 0.05), (4, float(ts[5])), (6, 0.55), (11, 1.0)):
+        for t in (0.0, 0.05, float(ts[5]), 0.55, 1.0):
             for evaluate in (fv.fn, fv.deriv):
-                calls.clear()
                 evaluate(t)
-                assert len(calls) == m + 1
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            # the kernel argument would leave the series domain at the first evaluation
+            (lambda: (SMOOTH16, FracOrder(0.995)), DegenerateOrder, "require alpha"),
+            # y0 stands in for the unbounded sample at t = 0
+            (lambda: (solve_free_particle(HALF, 1.0, 1.0), HALF), DomainError, "singular"),
+            # |lam| (b-a)^alpha = 9 * 20^0.9 = 133 > Z_MAX
+            (
+                lambda: (GridFunction(0.0, 20.0, 16, SMOOTH16.values), FracOrder(0.9)),
+                DomainError,
+                "<= 100",
+            ),
+            # the exponential sum cannot hold the kernel below alpha ~ 0.047
+            (lambda: (SMOOTH16, FracOrder(0.03)), DomainError, "cannot hold"),
+        ],
+        ids=["near-cap-order", "singular-grid", "beyond-rule-domain", "tiny-order"],
+    )
+    def test_rejects_bad_input_at_construction(self, case):
+        make, error, match = case
+        with pytest.raises(error, match=match):
+            fractional_velocity(*make())
+
+    def test_rejects_t_outside_the_grid(self):
+        fv = fractional_velocity(SMOOTH16, HALF)
+        for t in (-1e-9, 1.0 + 1e-9):
+            for evaluate in (fv.fn, fv.deriv):
+                with pytest.raises(DomainError, match="outside"):
+                    evaluate(t)
 
     def test_derivative_consistency(self):
         n = 12
@@ -288,14 +319,16 @@ class TestFractionalVelocity:
         assert abs(fv.deriv(math.nextafter(node, 2.0)) - fv.deriv(node + 1e-10)) <= 1e-4
 
 
-def test_quadratic_potential_el_decomposition():
-    # The fixed point of y = y0 + c ABI_left(ABI_right y) satisfies the
-    # Euler-Lagrange equation only up to the boundary mode
-    # -c (ABI_right y)(0) ABR_right[E_alpha(lam t^alpha)]: inverting the
-    # left Caputo-type derivative introduces that term.  Check the
-    # decomposition, which exercises solver and operators end to end.
-    c = 0.1
-    res = solve_quadratic_potential(HALF, c, 1.0, 1.0, SolverConfig(grid_n=16))
+def decomposition(n, cfg, c=0.1):
+    """Euler-Lagrange residual of the grid_n = n Picard fixed point and the
+    boundary-mode defect, on five nodes of [0.25, 1].
+
+    The fixed point of y = y0 + c ABI_left(ABI_right y) satisfies the
+    Euler-Lagrange equation only up to the boundary mode
+    -c (ABI_right y)(0) ABR_right[E_alpha(lam t^alpha)]: inverting the left
+    Caputo-type derivative introduces that term, so residual + defect is the
+    discretisation's gap."""
+    res = solve_quadratic_potential(HALF, c, 1.0, 1.0, SolverConfig(grid_n=n))
     traj = res.grid
     yfun = traj.to_real_function()
     l2fn = fractional_velocity(traj, HALF)
@@ -305,7 +338,6 @@ def test_quadratic_potential_el_decomposition():
         deriv_side=Side.Left,
     )
     grid = residual_grid(1.0, 4, start_frac=0.25)
-    cfg = QuadConfig(abs_tol=1e-7, rel_tol=1e-7)
     resid = el_residual(lag, yfun, HALF, grid, cfg)
 
     lam = HALF.lam
@@ -319,6 +351,34 @@ def test_quadratic_potential_el_decomposition():
     defect = np.array(
         [c * g0 * abr_derivative(Side.Right, mode, HALF, float(t), cfg) for t in grid.ts]
     )
-    assert np.max(np.abs(resid.values + defect)) <= 1e-3
+    return resid.values, defect
+
+
+def test_quadratic_potential_el_decomposition():
+    # the decomposition exercises solver and operators end to end
+    resid, defect = decomposition(16, QuadConfig(abs_tol=1e-7, rel_tol=1e-7))
+    assert np.max(np.abs(resid + defect)) <= 1e-3
     # the defect itself is far from zero, so the decomposition is informative
     assert np.max(np.abs(defect)) > 1e-2
+
+
+def test_decomposition_gap_converges_at_order_one_plus_alpha():
+    """The gap falls like h^(1+alpha) as the grid is refined.
+
+    The Picard iterate is the exact fixed point of the product-integration
+    system of the piecewise-linear interpolant, so the gap is the
+    interpolation error carried through the operators.  The solution has a
+    t^alpha component at each end (the RL integral of a constant), which
+    linear interpolation on a uniform grid resolves only to O(h^(1+alpha));
+    the smooth part's O(h^2) decays faster, so the observed order approaches
+    1 + alpha = 1.5 from above.  Measured with the quadrature at 1e-11 and
+    the Picard tolerance at 1e-13: gaps 4.437e-4, 1.484e-4, 5.035e-5,
+    1.724e-5, 5.942e-6 and 2.060e-6 at grid_n 16 to 512, orders 1.580,
+    1.560, 1.547, 1.536 and 1.528.  The quadrature at 1e-9 and the default
+    Picard tolerance used here move each gap by less than 2e-4 of itself.
+    """
+    cfg = QuadConfig(abs_tol=1e-9, rel_tol=1e-9)
+    gaps = [np.max(np.abs(np.add(*decomposition(n, cfg)))) for n in (16, 32, 64)]
+    orders = np.log2(np.array(gaps[:-1]) / np.array(gaps[1:]))
+    assert np.all((1.5 <= orders) & (orders <= 1.6)), orders
+    assert orders[1] < orders[0]
