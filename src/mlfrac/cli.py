@@ -2,8 +2,9 @@
 identity verification suite, and solve the worked variational problems.
 
 Exit codes: 0 success, 1 at least one verification report failed, 2 usage
-error, 3 numeric error from the underlying modules or an ``ml`` value whose
-series lost its digits to cancellation (``precision_flag``).
+error (a bad flag or expression, ``solve-el --grid-n`` below 8, or an ``--out``
+file that cannot be written), 3 numeric error from the underlying modules or
+an ``ml`` value whose series lost its digits to cancellation (``precision_flag``).
 """
 
 from __future__ import annotations
@@ -13,11 +14,10 @@ import functools
 import json
 import math
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import MlfracError, SingularityError
+from .errors import DomainError, MlfracError, SingularityError
 from .expr import parse_expr, to_real_function
 from .identities import (
     run_default_suite,
@@ -58,27 +58,6 @@ IBP_G_TEXT = "x/2 + 2*x^(3/2)/(3*sqrt(pi))"
 IBP_F_TEXT = "(1-x)/2 + 2*(1-x)^(3/2)/(3*sqrt(pi))"
 
 
-@dataclass(frozen=True)
-class RunSpec:
-    """Validated description of one command-line invocation."""
-
-    command: str
-    selector: str | None = None
-    alpha: float = 0.5
-    b_norm: float = 1.0
-    a: float = 0.0
-    b: float = 1.0
-    grid_n: int = 101
-    fn_text: str | None = None
-    fn2_text: str | None = None
-    side: Side = Side.Left
-    fmt: str = "csv"
-    out_path: str | None = None
-    tol: float | None = None
-    ml_params: tuple[float, float, float, float] | None = None  # rho mu gamma z
-    extras: dict = field(default_factory=dict)
-
-
 def _node_count(text: str) -> int:
     n = int(text)
     if n < 3:
@@ -104,6 +83,13 @@ def _tolerance(text: str) -> float:
     return tol
 
 
+def _solver_config(text: str) -> SolverConfig:
+    try:
+        return SolverConfig(grid_n=int(text))
+    except DomainError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """Built once and shared: a parser per call leaves hundreds of objects in
@@ -122,6 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
     ml.add_argument("--z", type=float, required=True)
     ml.add_argument("--format", choices=("plain", "json"), default="plain")
     ml.add_argument("--out")
+    ml.set_defaults(run=_run_ml)
 
     def common(p: argparse.ArgumentParser, ops: tuple[str, ...]) -> None:
         p.add_argument("--op", choices=ops, required=True)
@@ -132,6 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--grid", type=_node_count, default=101, help="number of output rows")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--out")
+        p.set_defaults(run=_run_grid_command)
 
     integ = sub.add_parser("integ", help="fractional integrals on a grid")
     common(integ, INTEG_OPS)
@@ -154,8 +142,8 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--gamma-p", type=float, default=1.0)
     verify.add_argument("--mu", type=float, default=2.0)
     verify.add_argument("--z", type=float, default=0.8)
-    verify.add_argument("--format", choices=("json",), default="json")
     verify.add_argument("--out")
+    verify.set_defaults(run=_run_verify)
 
     solve = sub.add_parser("solve-el", help="solve the worked variational problems")
     solve.add_argument("--problem", choices=("free-particle", "quadratic"), required=True)
@@ -164,74 +152,12 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--y0", type=float, default=0.0)
     solve.add_argument("--b", type=float, default=1.0)
     solve.add_argument("--c", type=float, default=0.1)
-    solve.add_argument("--grid-n", type=int, default=200)
+    solve.add_argument("--grid-n", type=_solver_config, default="200")
     solve.add_argument("--amplitude", type=float, default=1.0)
     solve.add_argument("--format", choices=("csv", "json"), default="csv")
     solve.add_argument("--out")
+    solve.set_defaults(run=_run_solve)
     return parser
-
-
-def _spec_from_args(args: argparse.Namespace) -> RunSpec:
-    cmd = args.command
-    if cmd == "ml":
-        return RunSpec(
-            command="ml",
-            fmt=args.format,
-            out_path=args.out,
-            ml_params=(args.rho, args.mu, args.gamma, args.z),
-        )
-    if cmd in ("integ", "deriv"):
-        a, b = args.interval
-        return RunSpec(
-            command=cmd,
-            selector=args.op,
-            alpha=args.alpha,
-            b_norm=args.b_norm,
-            a=a,
-            b=b,
-            grid_n=args.grid,
-            fn_text=args.fn,
-            fmt=args.format,
-            out_path=args.out,
-        )
-    if cmd == "verify":
-        a, b = args.interval
-        return RunSpec(
-            command="verify",
-            selector=args.id,
-            alpha=args.alpha,
-            b_norm=args.b_norm,
-            a=a,
-            b=b,
-            fn_text=args.fn,
-            fn2_text=args.fn2,
-            side=Side.Left if args.side == "left" else Side.Right,
-            fmt="json",
-            out_path=args.out,
-            tol=args.tol,
-            extras={
-                "sigma": args.sigma,
-                "nu": args.nu,
-                "lam": args.lam,
-                "x": args.x,
-                "gamma_p": args.gamma_p,
-                "mu": args.mu,
-                "z": args.z,
-            },
-        )
-    a, b = 0.0, args.b
-    return RunSpec(
-        command="solve-el",
-        selector=args.problem,
-        alpha=args.alpha,
-        b_norm=args.b_norm,
-        a=a,
-        b=b,
-        grid_n=args.grid_n,
-        fmt=args.format,
-        out_path=args.out,
-        extras={"y0": args.y0, "c": args.c, "amplitude": args.amplitude},
-    )
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -295,19 +221,18 @@ def _eval_grid(op, a: float, b: float, n: int) -> GridFunction:
     return GridFunction(a=a, b=b, n=n, values=values, singular=tuple(singular))
 
 
-def _run_ml(spec: RunSpec) -> int:
-    rho, mu, gamma_p, z = spec.ml_params
-    result = ml_eval(MLParams(rho, mu, gamma_p), z)
-    if spec.fmt == "json":
+def _run_ml(args: argparse.Namespace) -> int:
+    result = ml_eval(MLParams(args.rho, args.mu, args.gamma), args.z)
+    if args.format == "json":
         payload = {
             "value": result.value,
             "terms_used": result.terms_used,
             "max_term_magnitude": result.max_term_magnitude,
             "precision_flag": result.precision_flag,
         }
-        _emit(_json_text(payload), spec.out_path)
+        _emit(_json_text(payload), args.out)
     else:
-        _emit(f"{result.value:.17g}\n", spec.out_path)
+        _emit(f"{result.value:.17g}\n", args.out)
     if result.precision_flag:
         print(
             f"error: series cancellation: value {result.value:.6g} against "
@@ -318,55 +243,56 @@ def _run_ml(spec: RunSpec) -> int:
     return 0
 
 
-def _run_grid_command(spec: RunSpec) -> int:
-    f = to_real_function(parse_expr(spec.fn_text), spec.a, spec.b)
-    kind, side_name = spec.selector.split("-")
+def _run_grid_command(args: argparse.Namespace) -> int:
+    a, b = args.interval
+    f = to_real_function(parse_expr(args.fn), a, b)
+    kind, side_name = args.op.split("-")
     side = Side.Left if side_name == "left" else Side.Right
-    ord_ = FracOrder(spec.alpha, spec.b_norm)
+    ord_ = FracOrder(args.alpha, args.b_norm)
     if kind == "ab":
         op = lambda t: ab_integral(side, f, ord_, t)
-    elif kind == "rl" and spec.command == "integ":
+    elif kind == "rl" and args.command == "integ":
         op = lambda t: rl_integral(side, f, ord_, t)
     elif kind == "abc":
         op = lambda t: abc_derivative(side, f, ord_, t)
     elif kind == "abr":
         op = lambda t: abr_derivative(side, f, ord_, t)
     else:
-        op = lambda t: rl_derivative(side, f, spec.alpha, t)
+        op = lambda t: rl_derivative(side, f, args.alpha, t)
     # --grid counts emitted nodes; the grid type counts cells
-    grid = _eval_grid(op, spec.a, spec.b, spec.grid_n - 1)
-    _emit(_grid_csv(grid) if spec.fmt == "csv" else _grid_json(grid), spec.out_path)
+    grid = _eval_grid(op, a, b, args.grid - 1)
+    _emit(_grid_csv(grid) if args.format == "csv" else _grid_json(grid), args.out)
     return 0
 
 
-def _verify_reports(spec: RunSpec) -> list:
-    ord_ = FracOrder(spec.alpha, spec.b_norm)
-    a, b = spec.a, spec.b
-    tol = spec.tol
+def _verify_reports(args: argparse.Namespace) -> list:
+    ord_ = FracOrder(args.alpha, args.b_norm)
+    a, b = args.interval
+    tol = args.tol
+    side = Side.Left if args.side == "left" else Side.Right
 
     def fn_or(default_text: str, text: str | None):
         return to_real_function(parse_expr(text or default_text), a, b)
 
-    ex = spec.extras
-    if spec.selector is None:
+    if args.id is None:
         return run_default_suite(tol)
-    if spec.selector == "ibp-integrals":
-        return [verify_ibp_integrals(fn_or("1-x", spec.fn_text), fn_or("x", spec.fn2_text), ord_, tol)]
-    if spec.selector == "ibp-derivatives":
-        return [verify_ibp_derivatives(fn_or(IBP_F_TEXT, spec.fn_text), fn_or(IBP_G_TEXT, spec.fn2_text), ord_, tol)]
-    if spec.selector == "caputo-ibp":
-        return [verify_caputo_ibp(fn_or("x", spec.fn_text), fn_or("1-x", spec.fn2_text), ord_, spec.side, tol)]
-    if spec.selector == "caputo-rl":
-        return [verify_caputo_rl_relation(fn_or("x", spec.fn_text), ord_, spec.side, tol)]
-    if spec.selector == "inverse-fundamental":
-        return [verify_inverse_and_fundamental(fn_or("x", spec.fn_text), ord_, spec.side, tol)]
-    if spec.selector == "convolution":
-        return [verify_convolution(ex["sigma"], ex["nu"], spec.alpha, ex["lam"], ex["x"], tol)]
-    return [verify_diff_formula(ex["gamma_p"], ex["mu"], spec.alpha, ex["lam"], ex["z"], tol)]
+    if args.id == "ibp-integrals":
+        return [verify_ibp_integrals(fn_or("1-x", args.fn), fn_or("x", args.fn2), ord_, tol)]
+    if args.id == "ibp-derivatives":
+        return [verify_ibp_derivatives(fn_or(IBP_F_TEXT, args.fn), fn_or(IBP_G_TEXT, args.fn2), ord_, tol)]
+    if args.id == "caputo-ibp":
+        return [verify_caputo_ibp(fn_or("x", args.fn), fn_or("1-x", args.fn2), ord_, side, tol)]
+    if args.id == "caputo-rl":
+        return [verify_caputo_rl_relation(fn_or("x", args.fn), ord_, side, tol)]
+    if args.id == "inverse-fundamental":
+        return [verify_inverse_and_fundamental(fn_or("x", args.fn), ord_, side, tol)]
+    if args.id == "convolution":
+        return [verify_convolution(args.sigma, args.nu, args.alpha, args.lam, args.x, tol)]
+    return [verify_diff_formula(args.gamma_p, args.mu, args.alpha, args.lam, args.z, tol)]
 
 
-def _run_verify(spec: RunSpec) -> int:
-    reports = _verify_reports(spec)
+def _run_verify(args: argparse.Namespace) -> int:
+    reports = _verify_reports(args)
     for r in reports:
         status = "PASS" if r.passed else "FAIL"
         print(
@@ -376,45 +302,34 @@ def _run_verify(spec: RunSpec) -> int:
         )
     dicts = [r.to_json_dict() for r in reports]
     payload = dicts[0] if len(dicts) == 1 else dicts
-    _emit(_json_text(payload), spec.out_path)
+    _emit(_json_text(payload), args.out)
     return 0 if all(r.passed for r in reports) else 1
 
 
-def _run_solve(spec: RunSpec) -> int:
-    ord_ = FracOrder(spec.alpha, spec.b_norm)
-    cfg = SolverConfig(grid_n=spec.grid_n)
-    if spec.selector == "free-particle":
-        grid = solve_free_particle(ord_, spec.extras["y0"], spec.b, cfg, spec.extras["amplitude"])
-        _emit(_grid_csv(grid) if spec.fmt == "csv" else _grid_json(grid), spec.out_path)
+def _run_solve(args: argparse.Namespace) -> int:
+    ord_ = FracOrder(args.alpha, args.b_norm)
+    cfg = args.grid_n  # a SolverConfig, built by _solver_config
+    if args.problem == "free-particle":
+        grid = solve_free_particle(ord_, args.y0, args.b, cfg, args.amplitude)
+        _emit(_grid_csv(grid) if args.format == "csv" else _grid_json(grid), args.out)
         return 0
-    res = solve_quadratic_potential(ord_, spec.extras["c"], spec.extras["y0"], spec.b, cfg)
+    res = solve_quadratic_potential(ord_, args.c, args.y0, args.b, cfg)
     stats = {
         "iterations": res.iterations,
         "contraction_q": res.contraction_q,
         "contraction_bound": res.contraction_bound,
         "residual_sup": res.residual_sup,
     }
-    if spec.fmt == "json":
-        _emit(_grid_json(res.grid, extra=stats), spec.out_path)
+    if args.format == "json":
+        _emit(_grid_json(res.grid, extra=stats), args.out)
     else:
         print(
             "converged in {iterations} iterations, q={contraction_q:.4g}, "
             "residual={residual_sup:.3g}".format(**stats),
             file=sys.stderr,
         )
-        _emit(_grid_csv(res.grid), spec.out_path)
+        _emit(_grid_csv(res.grid), args.out)
     return 0
-
-
-def run(spec: RunSpec) -> int:
-    """Dispatch a validated RunSpec; returns the process exit code."""
-    if spec.command == "ml":
-        return _run_ml(spec)
-    if spec.command in ("integ", "deriv"):
-        return _run_grid_command(spec)
-    if spec.command == "verify":
-        return _run_verify(spec)
-    return _run_solve(spec)
 
 
 def _bind_interval(argv: list[str]) -> list[str]:
@@ -427,9 +342,8 @@ def _bind_interval(argv: list[str]) -> list[str]:
 def run_cli(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(_bind_interval(sys.argv[1:] if argv is None else argv))
     try:
-        spec = _spec_from_args(args)
-        return run(spec)
-    except SyntaxError as exc:
+        return args.run(args)
+    except (SyntaxError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (MlfracError, OverflowError) as exc:

@@ -214,7 +214,6 @@ def verify_caputo_rl_relation(
     side: Side = Side.Left,
     tol: float | None = None,
     h: float = 5e-4,
-    grid_points: int = 5,
 ) -> IdentityReport:
     """Caputo-type equals RL-type minus the anchor boundary term.
 
@@ -233,7 +232,7 @@ def verify_caputo_rl_relation(
     anchor = side.anchor(f)
     anchor_val = f.fn(anchor)
     try:
-        ts = _interior_grid(a, b, grid_points)
+        ts = _interior_grid(a, b, 5)
         lhs = [abc_derivative(side, f, ord_, t, _TIGHT) for t in ts]
         rhs = []
         for t in ts:
@@ -250,7 +249,6 @@ def verify_inverse_and_fundamental(
     ord_: FracOrder,
     side: Side = Side.Left,
     tol: float | None = None,
-    grid_points: int = 4,
 ) -> IdentityReport:
     """Three compositions: D(I f) = f, I(D f) = f, I(Caputo-D f) = f - f(anchor).
 
@@ -264,7 +262,7 @@ def verify_inverse_and_fundamental(
     params["compositions"] = ("D.I", "I.D", "I.Dc")
     anchor_val = f.fn(side.anchor(f))
     try:
-        ts = _interior_grid(a, b, grid_points, margin=0.15)
+        ts = _interior_grid(a, b, 4, margin=0.15)
         abi_f = RealFunction(
             fn=lambda x: ab_integral(side, f, ord_, x, _INNER), a=a, b=b
         )
@@ -408,14 +406,12 @@ def run_default_suite(tol: float | None = None) -> list[IdentityReport]:
             fn=lambda x: 0.5 * (1 - x) + 2.0 * (1 - x) ** 1.5 / (3 * math.sqrt(math.pi)),
             a=0.0,
             b=1.0,
-            deriv=lambda x: -0.5 - (1 - x) ** 0.5 / math.sqrt(math.pi),
             label="(1-x)/2+2(1-x)^1.5/(3 sqrt(pi))",
         ),
         RealFunction(
             fn=lambda x: 0.5 * x + 2.0 * x**1.5 / (3 * math.sqrt(math.pi)),
             a=0.0,
             b=1.0,
-            deriv=lambda x: 0.5 + x**0.5 / math.sqrt(math.pi),
             label="x/2+2x^1.5/(3 sqrt(pi))",
         ),
     )

@@ -7,7 +7,9 @@ import subprocess
 import sys
 from contextlib import redirect_stdout
 
-from mlfrac.cli import RunSpec, run, run_cli
+import pytest
+
+from mlfrac.cli import run_cli
 
 SQPI = math.sqrt(math.pi)
 SRC_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -230,6 +232,14 @@ class TestSolveCommand:
         assert len(payload["values"]) == 17
 
 
+    @pytest.mark.parametrize("n", ["4", "0", "-3"])
+    def test_grid_n_below_eight_is_usage_error(self, n, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["solve-el", "--problem", "free-particle", "--alpha", "0.5", "--grid-n", n])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "grid_n must be at least 8" in captured.err
+
     def test_non_finite_scalars_rejected(self):
         for problem, flag, value in (
             ("free-particle", "--b", "inf"),
@@ -269,21 +279,44 @@ class TestStrictJson:
         assert report["lhs"] is None and report["abs_err"] is None
 
 
-class TestRunSpecApi:
+OUT_COMMANDS = {
+    "ml": ["ml", "--rho", "0.5", "--mu", "1", "--z", "-1", "--format", "json"],
+    "integ": ["integ", "--op", "ab-left", "--alpha", "0.5", "--fn", "x", "--grid", "4"],
+    "deriv": ["deriv", "--op", "abc-right", "--alpha", "0.5", "--fn", "x^2", "--grid", "3",
+              "--format", "json"],
+    "verify": ["verify", "--id", "diff-formula"],
+    "solve-el": ["solve-el", "--problem", "quadratic", "--alpha", "0.5", "--y0", "1",
+                 "--grid-n", "16"],
+}
+
+
+class TestRunCli:
     def test_direct_dispatch(self, tmp_path, capsys):
         out = tmp_path / "grid.csv"
-        spec = RunSpec(
-            command="integ",
-            selector="ab-left",
-            alpha=0.5,
-            fn_text="x",
-            grid_n=4,
-            out_path=str(out),
-        )
-        assert run(spec) == 0
+        assert run_cli([*OUT_COMMANDS["integ"], "--out", str(out)]) == 0
         text = out.read_text()
         assert text.startswith("t,value\n")
         assert text.endswith("\n") and "\r" not in text
+
+    @pytest.mark.parametrize("argv", OUT_COMMANDS.values(), ids=OUT_COMMANDS)
+    def test_out_file_holds_the_stdout_bytes(self, argv, tmp_path, capsys):
+        code = run_cli(argv)
+        printed = capsys.readouterr()
+        out = tmp_path / "out.txt"
+        assert run_cli([*argv, "--out", str(out)]) == code
+        written = capsys.readouterr()
+        assert written.out == "" and written.err == printed.err
+        assert out.read_bytes() == printed.out.encode()
+
+    @pytest.mark.parametrize("argv", [OUT_COMMANDS["integ"], OUT_COMMANDS["verify"]],
+                             ids=["integ", "verify"])
+    def test_unwritable_out_is_usage_error(self, argv, tmp_path, capsys):
+        path = tmp_path / "missing" / "x.csv"
+        assert run_cli([*argv, "--out", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        last = captured.err.splitlines()[-1]
+        assert last.startswith("error: ") and str(path) in last
 
     def test_run_cli_leaves_no_cyclic_garbage(self):
         argv = ["integ", "--op", "ab-left", "--alpha", "0.5", "--fn", "x", "--grid", "3"]
