@@ -58,8 +58,15 @@ IBP_G_TEXT = "x/2 + 2*x^(3/2)/(3*sqrt(pi))"
 IBP_F_TEXT = "(1-x)/2 + 2*(1-x)^(3/2)/(3*sqrt(pi))"
 
 
+def _integer(flag: str, text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{flag} needs an integer, got {text!r}") from None
+
+
 def _node_count(text: str) -> int:
-    n = int(text)
+    n = _integer("--grid", text)
     if n < 3:
         raise argparse.ArgumentTypeError(f"--grid needs at least 3 nodes, got {n}")
     return n
@@ -77,7 +84,10 @@ def _parse_interval(text: str) -> tuple[float, float]:
 
 
 def _tolerance(text: str) -> float:
-    tol = float(text)  # argparse reports a ValueError here as a usage error
+    try:
+        tol = float(text)
+    except ValueError:
+        tol = math.nan
     if not 0.0 < tol < math.inf:
         raise argparse.ArgumentTypeError(f"tolerance must be finite and positive, got {text!r}")
     return tol
@@ -85,7 +95,7 @@ def _tolerance(text: str) -> float:
 
 def _solver_config(text: str) -> SolverConfig:
     try:
-        return SolverConfig(grid_n=int(text))
+        return SolverConfig(grid_n=_integer("--grid-n", text))
     except DomainError as exc:
         raise argparse.ArgumentTypeError(str(exc))
 

@@ -8,16 +8,18 @@ function heads are closed under differentiation except gamma (its
 derivative needs the digamma function, which the grammar cannot express),
 so rl_derivative, the one operator reading f', differentiates those numerically.
 
-:func:`to_real_function` compiles an expression and its derivative once
-each, to straight-line Python code with one assignment per node; the tree
-walker :func:`evaluate` is the reference those functions match bit for bit
-and the path that raises their domain errors.
+:func:`to_real_function` compiles an expression, and its derivative at
+the derivative's first call, once each, to straight-line Python code with
+one assignment per node; the tree walker :func:`evaluate` is the reference
+those functions match bit for bit and the path that raises their domain
+errors.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+import threading
 from dataclasses import dataclass
 from typing import Callable
 
@@ -408,12 +410,35 @@ def _compile(node: Expr) -> Callable[[float], float]:
     return scope.pop("compiled")  # scope keeps no reference back: no cycle for the collector
 
 
+def _deferred(node: Expr) -> Callable[[float], float]:
+    """node compiled by :func:`_compile` at the first call, once even when
+    threads make that call together.  The closure holds no reference back to
+    itself, so it leaves nothing for the cyclic collector."""
+    compiled: list[Callable[[float], float]] = []
+    lock = threading.Lock()
+
+    def deferred(x: float) -> float:
+        if not compiled:
+            with lock:
+                if not compiled:
+                    try:
+                        compiled.append(_compile(node))
+                    except RecursionError:
+                        raise ExprSyntaxError("expression nested too deeply", 0) from None
+        return compiled[0](x)
+
+    return deferred
+
+
 def to_real_function(node: Expr, a: float, b: float) -> RealFunction:
     """Wrap an expression (and its symbolic derivative, when it exists) as a
-    RealFunction on [a, b]; each is compiled once by :func:`_compile`."""
+    RealFunction on [a, b].  The expression is compiled by :func:`_compile`
+    at once; its derivative is taken at once, so ``deriv is None`` exactly
+    when there is none, but compiled only when first called, which only
+    rl_derivative does."""
     try:
         d = differentiate(node)
-        deriv = None if d is None else _compile(d)
+        deriv = None if d is None else _deferred(d)
         return RealFunction(fn=_compile(node), a=a, b=b, deriv=deriv, label=to_string(node))
     except RecursionError:  # a long flat chain, which the parser builds without recursing
         raise ExprSyntaxError("expression nested too deeply", 0) from None

@@ -227,7 +227,7 @@ def rl_derivative(
         raise DomainError(f"rl_derivative requires alpha in (0, 1), got {alpha!r}")
     if not f.contains(t):
         raise DomainError(f"t={t!r} outside [{f.a!r}, {f.b!r}]")
-    fp = RealFunction(fn=f.prime, a=f.a, b=f.b)
+    fp = RealFunction(fn=f.deriv or f.prime, a=f.a, b=f.b)
     gamma_c = math.gamma(1.0 - alpha)
     anchor = side.anchor(f)
     f_anchor = f.fn(anchor)

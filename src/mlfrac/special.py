@@ -8,9 +8,13 @@ is the kernel of every nonlocal operator in this package.  Terms are
 generated by a ratio recurrence whose gamma factors are evaluated as
 log-gamma differences, so the series stays in floating-point range far
 past the overflow point of Gamma itself.  Ratio tables depend only on
-(rho, mu, gamma) and are memoized across calls; one loop walks the cached
-table term by term, and ``ml_eval(record_terms=True)`` replays the same
-recurrence afterwards instead of recording inside that loop.
+(rho, mu, gamma) and are memoized across calls.  ``ml_eval`` walks the
+cached table term by term in one loop, and ``ml_eval(record_terms=True)``
+replays the same recurrence afterwards instead of recording inside that
+loop.  ``ml_value``, the operators' kernel, sums the same series by Horner's
+rule over coefficients cached per quarter-octave |z| band and sign of z,
+with as many terms as the loop needs at the band's outer edge, and hands a
+z to the loop where that sum fails its checks (see :func:`ml_value`).
 
 ``exp_sum_kernel`` gives the operator kernel E_alpha(lam s^alpha), lam < 0,
 as an exact sum of decaying exponentials instead.  For 0 < alpha < 1 the
@@ -36,6 +40,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -203,12 +208,66 @@ def ml_eval(p: MLParams, z: float, record_terms: bool = False) -> SeriesResult:
     )
 
 
+# key (rho, mu, gamma_p, band, z < 0) -> plan for ml_value, or () where the
+# band stays on the loop.  Stored atomically, like the ratio tables.
+_plan_cache: dict[tuple[float, float, float, int, bool], tuple] = {}
+_FLOOR_BAND = -105  # every |z| < 2^-26 shares this band: two or three terms
+_FLOOR = 2.0 ** ((_FLOOR_BAND + 1) / 4)
+
+
+def _plan(rho: float, mu: float, gamma_p: float, band: int, negative: bool) -> tuple:
+    """Horner plan (coefficients c_{n-1} .. c_0, |c_n|, n, largest term) for
+    the |z| band [2^(band/4), 2^((band+1)/4)) on one side of 0, built from
+    the loop's answer at the band's outer edge.  The empty plan () sends the
+    band to the loop: a negative-integer gamma_p, a loop that raises at the
+    edge, or an edge where z^n, a coefficient or a Horner partial sum could
+    leave the normal float range, so that ml_value needs no finiteness or
+    overflow check per call."""
+    edge = min(2.0 ** ((band + 1) / 4), Z_MAX)
+    plan: tuple = ()
+    if not (gamma_p <= 0.0 and gamma_p == math.floor(gamma_p)):
+        try:
+            _, n, max_term = _sum_series(rho, mu, gamma_p, -edge if negative else edge)
+        except ConvergenceError:
+            n = 0
+        if 0 < n and n * math.log(edge) < 700.0 and n * max_term < 1e300:
+            ratios = _ratios(rho, mu, gamma_p, n)[:n]
+            coeffs = list(accumulate(ratios, operator.mul, initial=math.exp(-math.lgamma(mu))))
+            sizes = list(map(abs, coeffs))
+            # a Horner partial sum is at most n max|c_k| for |z| <= 1 and
+            # n max_term past 1: both finite here, so every value is
+            if 1e-290 < min(sizes) and n * max(sizes) < 1e300:
+                plan = (tuple(reversed(coeffs[:-1])), sizes[-1], n, max_term)
+    _plan_cache[(rho, mu, gamma_p, band, negative)] = plan
+    return plan
+
+
 def ml_value(rho: float, mu: float, gamma_p: float, z: float) -> float:
-    """Bare series value, for the operator kernels' hot loops.  Raises
-    ConvergenceError where cancellation may have cost more than 1e-6 of the
-    value: eps times the largest term exceeds that."""
-    if not abs(z) <= Z_MAX:  # also rejects nan
+    """Series value, for the operator kernels' hot loops.
+
+    Sums the first n terms by Horner's rule over cached coefficients, n being
+    the term count the loop needs at the outer edge of z's quarter-octave |z|
+    band.  The loop answers instead where the first omitted term exceeds
+    1e-16 of that sum, or where the band's largest term, taken at its edge,
+    breaks the cancellation bound for that sum; so the loop decides every
+    refusal.  Raises ConvergenceError where cancellation may have cost more
+    than 1e-6 of the value: eps times the largest term exceeds that."""
+    az = abs(z)
+    if not az <= Z_MAX:  # also rejects nan
         raise DomainError(f"ml_value working domain is |z| <= {Z_MAX:g}, got z={z!r}")
+    band = math.floor(4.0 * math.log2(az)) if az >= _FLOOR else _FLOOR_BAND
+    negative = z < 0.0
+    plan = _plan_cache.get((rho, mu, gamma_p, band, negative))
+    if plan is None:
+        plan = _plan(rho, mu, gamma_p, band, negative)
+    if plan:
+        coeffs, tail, n, max_term = plan
+        value = 0.0
+        for c in coeffs:
+            value = value * z + c
+        size = abs(value)
+        if tail * az**n <= _REL_STOP * size and max_term <= _CANCEL_LIMIT * size:
+            return value
     value, _, max_term = _sum_series(rho, mu, gamma_p, z)
     if max_term > _CANCEL_LIMIT * abs(value):
         raise ConvergenceError(

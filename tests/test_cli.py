@@ -3,12 +3,14 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from contextlib import redirect_stdout
 
 import pytest
 
+from mlfrac import expr
 from mlfrac.cli import run_cli
 
 SQPI = math.sqrt(math.pi)
@@ -332,6 +334,46 @@ class TestRunCli:
                 gc.enable()
         # a parser built per call left about 390 objects in cycles each time
         assert unreachable < 100
+
+    @pytest.mark.parametrize("argv", [
+        ["integ", "--op", "ab-left", "--alpha", "0.5", "--fn", "x", "--grid", "4.5"],
+        ["solve-el", "--problem", "quadratic", "--alpha", "0.5", "--grid-n", "4.5"],
+        ["verify", "--tol", "abc"],
+    ], ids=["grid", "grid-n", "tol"])
+    def test_bad_number_usage_error_names_no_function(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert argv[-1] in captured.err
+        assert not re.search(r"(^|[\s'\"])_\w", captured.err), captured.err
+
+    @pytest.mark.parametrize("op, compiles", [("abc-left", 1), ("rl-left", 2)])
+    def test_derivative_is_compiled_only_when_read(self, op, compiles, monkeypatch, capsys):
+        calls = []
+        compile_ = expr._compile
+        monkeypatch.setattr(expr, "_compile", lambda node: calls.append(node) or compile_(node))
+        argv = ["deriv", "--op", op, "--alpha", "0.5", "--fn", "x^2+sin(x)", "--grid", "5"]
+        assert run_cli(argv) == 0
+        assert len(calls) == compiles
+        assert capsys.readouterr().out.startswith("t,value\n")
+
+    def test_deferred_compile_too_deep_is_usage_error(self, monkeypatch, capsys):
+        compile_ = expr._compile
+
+        def fn_only(node):
+            if fn_only.done:
+                raise RecursionError("maximum recursion depth exceeded")
+            fn_only.done = True
+            return compile_(node)
+
+        fn_only.done = False
+        monkeypatch.setattr(expr, "_compile", fn_only)
+        argv = ["deriv", "--op", "rl-left", "--alpha", "0.5", "--fn", "x^2+sin(x)", "--grid", "5"]
+        assert run_cli(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "nested too deeply" in captured.err
 
     def test_run_cli_catches_numeric_errors(self, capsys):
         code = run_cli(["ml", "--rho", "0.5", "--mu", "1", "--z", "500"])

@@ -1,10 +1,13 @@
 import math
 import random
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mlfrac import expr
 from mlfrac.errors import DomainError, ExprSyntaxError, PoleError, UnknownIdentifier
 from mlfrac.expr import (
     FUNCTIONS,
@@ -265,3 +268,33 @@ def test_deep_power_chain_compiles_without_nesting():
     _assert_compiled_matches_evaluate(tree, (0.7, -1.0))
     f = to_real_function(tree, 0.0, 1.0)
     assert f.fn(0.7) == 1.0 and f.deriv(0.7) == 0.0
+
+
+def test_derivative_compiles_once_under_threads(monkeypatch):
+    calls = []
+    compile_ = expr._compile
+    monkeypatch.setattr(expr, "_compile", lambda node: calls.append(node) or compile_(node))
+    f = to_real_function(parse_expr("x^3 + sin(x)*exp(x)"), 0.0, 1.0)
+    assert len(calls) == 1 and f.deriv is not None
+    start = threading.Barrier(4)
+    xs = [0.1 * i for i in range(11)]
+    results = [None] * 4
+
+    def worker(i):
+        start.wait()
+        results[i] = [f.deriv(x) for x in xs]
+
+    threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(calls) == 2
+    d = differentiate(parse_expr("x^3 + sin(x)*exp(x)"))
+    assert all(r == [evaluate(d, x) for x in xs] for r in results)
