@@ -6,6 +6,11 @@ direct series evaluation) so that a shared bug cannot certify itself, and
 returns an :class:`IdentityReport` instead of raising: numeric failures are
 recorded in the report.
 
+The outer integrals of u * Op(v) know where their integrand is singular:
+Op(v) behaves like dist^alpha at Op's anchor.  They integrate through the
+graded substitution of :func:`~mlfrac.quadrature.power_quad`, as the
+operators do, instead of bisecting toward that cusp.
+
 Test functions are assumed smooth on the interval; membership in the exact
 image spaces of the fractional integrals is not computationally decidable
 and is not checked.
@@ -16,7 +21,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -31,15 +36,18 @@ from .operators import (
     gen_ml_integral,
     opposite,
 )
-from .quadrature import QuadConfig, RealFunction, adaptive_gl
+from .quadrature import QuadConfig, RealFunction, power_quad
+# unused here, but bench/tracing.py patches identities.adaptive_gl
+from .quadrature import adaptive_gl  # noqa: F401
 from .special import MLParams, ml_one, ml_value
 
 #: Fallback report tolerance; the MLFRAC_TOL environment variable overrides it.
 DEFAULT_TOL = 1e-5
 
-# Outer integrals of operator-valued integrands run at a coarser tolerance
-# than the operators themselves: the integrand carries the inner quadrature
-# noise, and asking the outer estimate to go below that noise floor stalls.
+# Outer integrals of operator-valued integrands (:func:`_outer_integral`) run
+# at a coarser tolerance than the operators themselves: the integrand carries
+# the inner quadrature noise, and asking the outer estimate to go below that
+# noise floor stalls.  Each of their two graded halves gets the whole of it.
 _OUTER = QuadConfig(abs_tol=1e-8, rel_tol=1e-8)
 _INNER = QuadConfig(abs_tol=1e-10, rel_tol=1e-10)
 _TIGHT = QuadConfig(abs_tol=5e-13, rel_tol=1e-12)
@@ -113,6 +121,20 @@ def _base_params(ord_: FracOrder, a: float, b: float, **labels: str) -> dict:
     return p
 
 
+def _outer_integral(fn: Callable[[float], float], side: Side, alpha: float, a: float, b: float) -> float:
+    """Integral over [a, b] of fn = u * Op(v), Op an operator of order alpha
+    anchored on ``side``.
+
+    Op(v) behaves like dist^alpha at its anchor, so the half of [a, b] there is
+    graded for that power.  The other half gets a square-root grading, which
+    leaves a smooth integrand smooth and makes a (far - x)^(k/2) endpoint of a
+    test function analytic.
+    """
+    anchor, far = (a, b) if side is Side.Left else (b, a)
+    mid = 0.5 * (a + b)
+    return power_quad(fn, mid, anchor, 1.0, alpha, _OUTER) + power_quad(fn, mid, far, 1.0, 0.5, _OUTER)
+
+
 def _interior_grid(a: float, b: float, m: int, margin: float = 0.1) -> list[float]:
     lo = a + margin * (b - a)
     hi = b - margin * (b - a)
@@ -135,8 +157,8 @@ def verify_ibp_integrals(
     params = _base_params(ord_, a, b, phi=phi.label, psi=psi.label)
 
     def outer(u: RealFunction, v: RealFunction, side: Side) -> float:
-        return adaptive_gl(
-            lambda x: u.fn(x) * ab_integral(side, v, ord_, x, _INNER), a, b, _OUTER
+        return _outer_integral(
+            lambda x: u.fn(x) * ab_integral(side, v, ord_, x, _INNER), side, ord_.alpha, a, b
         )
 
     lhs: list[float] = []
@@ -161,11 +183,13 @@ def verify_ibp_derivatives(
     a, b = f.a, f.b
     params = _base_params(ord_, a, b, f=f.label, g=g.label)
     try:
-        lhs = adaptive_gl(
-            lambda x: f.fn(x) * abr_derivative(Side.Left, g, ord_, x, _INNER), a, b, _OUTER
+        lhs = _outer_integral(
+            lambda x: f.fn(x) * abr_derivative(Side.Left, g, ord_, x, _INNER),
+            Side.Left, ord_.alpha, a, b,
         )
-        rhs = adaptive_gl(
-            lambda x: abr_derivative(Side.Right, f, ord_, x, _INNER) * g.fn(x), a, b, _OUTER
+        rhs = _outer_integral(
+            lambda x: abr_derivative(Side.Right, f, ord_, x, _INNER) * g.fn(x),
+            Side.Right, ord_.alpha, a, b,
         )
     except MlfracError as exc:
         return _failed_report("ibp-derivatives", params, tol, exc)
@@ -194,11 +218,11 @@ def verify_caputo_ibp(
     lam = ord_.lam
     other = opposite(side)
     try:
-        lhs = adaptive_gl(
-            lambda t: abc_derivative(side, f, ord_, t, _INNER) * g.fn(t), a, b, _OUTER
+        lhs = _outer_integral(
+            lambda t: abc_derivative(side, f, ord_, t, _INNER) * g.fn(t), side, ord_.alpha, a, b
         )
-        integral = adaptive_gl(
-            lambda t: f.fn(t) * abr_derivative(other, g, ord_, t, _INNER), a, b, _OUTER
+        integral = _outer_integral(
+            lambda t: f.fn(t) * abr_derivative(other, g, ord_, t, _INNER), other, ord_.alpha, a, b
         )
         eg = lambda t: gen_ml_integral(other, kernel, lam, g, t, _INNER)
         boundary = f.fn(b) * eg(b) - f.fn(a) * eg(a)
@@ -333,12 +357,15 @@ def verify_diff_formula(
 ) -> IdentityReport:
     """First-derivative shift: d/dz [z^(mu-1) E(a,mu;g)(l z^a)] = z^(mu-2) E(a,mu-1;g)(l z^a)."""
     tol = 1e-6 if tol is None else tol
+    h = 2e-6 * max(1.0, abs(z))
     if mu <= 1.0:
         raise DomainError(f"diff-formula check needs mu > 1, got {mu!r}")
+    if not z > h:
+        # the difference quotient samples z - h, where t^alpha must be real
+        raise DomainError(f"diff-formula check needs z > {h:g}, the d/dz step, got {z!r}")
     params = {"alpha": alpha, "B": 1.0, "interval": (z, z), "gamma": gamma_p, "mu": mu, "lambda": lambda_}
     try:
         fn = lambda t: t ** (mu - 1.0) * ml_value(alpha, mu, gamma_p, lambda_ * t**alpha)
-        h = 2e-6 * max(1.0, abs(z))
         lhs = (fn(z + h) - fn(z - h)) / (2.0 * h)
         rhs = z ** (mu - 2.0) * ml_value(alpha, mu - 1.0, gamma_p, lambda_ * z**alpha)
     except MlfracError as exc:

@@ -21,7 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateOrder, DomainError, SingularityError
-from .quadrature import DEFAULT_QUAD, QuadConfig, RealFunction, adaptive_gl, power_quad, rl_weighted_quad
+from .quadrature import DEFAULT_QUAD, QuadConfig, RealFunction, power_quad, rl_weighted_quad
+# unused here, but bench/tracing.py patches operators.adaptive_gl
+from .quadrature import adaptive_gl  # noqa: F401
 from .special import MLParams, ml_one, ml_value
 
 #: ML-kernel operators reject orders at or above this value: the kernel rate
@@ -191,9 +193,13 @@ def abr_derivative_kernel_diff(
 
     Differentiates K(tau) = integral of f(x) E_a(lam |tau - x|^a) over the
     anchored range directly in tau.  Slower and step-limited, but shares no
-    code path with :func:`abr_derivative`; used by the identity checks.
-    Needs f bounded (not differentiable), so it also covers integrable
-    anchor singularities.
+    operator code with :func:`abr_derivative` (f + lam P with the E_{a,a}
+    kernel); used by the identity checks.  Both integrate through
+    :func:`power_quad`, which only grades the variable: here K is split at
+    the midpoint of its range, the half at tau graded for the kernel's
+    |tau - x|^a cusp and the half at the anchor for the dist^a cusp of an
+    operand that is itself an operator output.  Needs f bounded (not
+    differentiable), so it also covers integrable anchor singularities.
     """
     _require_kernel_order(ord_)
     lam = ord_.lam
@@ -205,12 +211,13 @@ def abr_derivative_kernel_diff(
     anchor, sign = side.anchor(f), side.sign
 
     def kernel_integral(tau: float) -> float:
-        return adaptive_gl(
-            lambda x: f.fn(x) * ml_one(alpha, lam * (sign * (tau - x)) ** alpha),
-            min(anchor, tau),
-            max(anchor, tau),
-            cfg,
+        mid = 0.5 * (anchor + tau)
+        near_tau = power_quad(f.fn, mid, tau, 1.0, alpha, cfg, lambda z: ml_one(alpha, lam * z))
+        near_anchor = power_quad(
+            lambda x: f.fn(x) * ml_one(alpha, lam * abs(tau - x) ** alpha),
+            mid, anchor, 1.0, alpha, cfg,
         )
+        return near_tau + near_anchor
 
     return sign * scale * (kernel_integral(t + h) - kernel_integral(t - h)) / (2.0 * h)
 

@@ -206,6 +206,13 @@ class TestVerifyCommand:
         assert p.returncode == 0
         assert json.loads(p.stdout)["tol"] == 1e-3
 
+    @pytest.mark.parametrize("z", ["0", "1e-7", "-0.5"])
+    def test_diff_formula_z_within_the_step_is_numeric_error(self, z):
+        p = mlfrac("verify", "--id", "diff-formula", "--z", z)
+        assert p.returncode == 3
+        assert p.stderr.startswith("error: diff-formula check needs z > ")
+        assert "Traceback" not in p.stderr and p.stdout == ""
+
     def test_convolution_custom_params(self):
         p = mlfrac("verify", "--id", "convolution", "--alpha", "0.5",
                    "--sigma", "0", "--nu", "2", "--x", "0.5")

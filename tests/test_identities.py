@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from mlfrac import identities
 from mlfrac.errors import DomainError
 from mlfrac.identities import (
     IdentityReport,
@@ -205,6 +206,12 @@ class TestDiffFormula:
         r = verify_diff_formula(2.0, 2.5, 0.5, -1.0, 1.0)
         assert r.abs_err <= 1e-6
 
+    @pytest.mark.parametrize("z", [0.0, 1e-7, 2e-6, -0.5, math.nan])
+    def test_z_within_the_step_of_zero_is_a_domain_error(self, z):
+        # z - h <= 0 would raise a complex t^alpha into the series
+        with pytest.raises(DomainError, match="d/dz step"):
+            verify_diff_formula(1.0, 2.0, 0.5, -1.0, z)
+
 
 class TestZeroMode:
     def test_value_at_half(self):
@@ -298,3 +305,30 @@ def test_default_suite_all_pass():
         "convolution",
         "diff-formula",
     }
+
+
+# run_default_suite's reports, in order, that fail when one operator as
+# identities binds it returns 1.001 times its value on the left side only.
+# Each perturbation must reach the checks that read that operator, whichever
+# side of their identity it is on.
+PERTURBED_FAILURES = {
+    "ab_integral": (0, 1, 5, 6, 7, 11, 12, 13, 17),
+    "abr_derivative": (2, 5, 8, 11, 14, 17, 18, 19),
+    "abc_derivative": (3, 4, 5, 9, 10, 11, 15, 16, 17),
+    "abr_derivative_kernel_diff": (4, 5, 10, 11, 16, 17),
+    "gen_ml_integral": (19, 21, 22, 23, 24),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PERTURBED_FAILURES))
+def test_one_sided_perturbation_fails_the_same_reports(monkeypatch, name):
+    op = getattr(identities, name)
+
+    def perturbed(side, *args, **kwargs):
+        out = op(side, *args, **kwargs)
+        return 1.001 * out if side is Side.Left else out
+
+    monkeypatch.setattr(identities, name, perturbed)
+    reports = run_default_suite()
+    failed = tuple(i for i, r in enumerate(reports) if not r.passed)
+    assert failed == PERTURBED_FAILURES[name], [reports[i].identity_name for i in failed]

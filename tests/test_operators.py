@@ -239,6 +239,19 @@ class TestAbrDerivative:
             got = abr_derivative_kernel_diff(side, f, HALF, 0.5)
             want = abr_derivative(side, f, HALF, 0.5)
             assert abs(got - want) <= 1e-6
+        # AB-I of x behaves like dist^alpha at the anchor, and the golden
+        # pair's operand like x^1.5 at 0: the graded halves of the kernel
+        # integral must leave only the step error of the central difference
+        tight = QuadConfig(abs_tol=5e-13, rel_tol=1e-12)
+        golden = rf(lambda x: 0.5 * x + 2.0 * x**1.5 / (3.0 * SQPI))
+        for o in (FracOrder(0.25), HALF, FracOrder(0.75)):
+            for side in (Side.Left, Side.Right):
+                abi_x = rf(lambda x: ab_integral(side, X, o, x, tight))
+                for f in (abi_x, golden):
+                    for t in (0.3, 0.5, 0.7):
+                        got = abr_derivative_kernel_diff(side, f, o, t, tight)
+                        want = abr_derivative(side, f, o, t, tight)
+                        assert abs(got - want) <= 1e-6, (o.alpha, side, t)
 
 
 class TestRlDerivative:

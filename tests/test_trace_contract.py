@@ -14,7 +14,8 @@ import io
 import sys
 from pathlib import Path
 
-from mlfrac import cli, quadrature
+from mlfrac import cli, identities, quadrature
+from mlfrac.operators import FracOrder
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 
@@ -61,3 +62,20 @@ def test_abc_left_grid_counts_one_ml_call_and_one_expr_eval_per_node():
     assert c.cli_bytes_out == len(out.getvalue())
     for owner, name, original in patched:
         assert getattr(owner, name) is original, f"{owner.__name__}.{name} not restored"
+
+
+def test_caputo_rl_check_counts_every_graded_half():
+    tracer = Tracer()
+    try:
+        report = identities.verify_caputo_rl_relation(identities.poly([0.0, 0.0, 1.0]), FracOrder(0.5))
+    finally:
+        tracer.close()
+    assert report.passed
+    c = tracer.counts
+    # five interior nodes: one Prabhakar integral per Caputo-type value, and
+    # per kernel-difference value two steps times two graded halves, all
+    # through quadrature.adaptive_gl; one ML call per evaluation plus the two
+    # anchor kernel values per node
+    assert tracer.operator_calls["abc_derivative"] == tracer.operator_calls["abr_derivative_kernel_diff"] == 5
+    assert (c.quad_calls, c.quad_evals) == (25, 645)
+    assert c.special_calls == c.quad_evals + 10
