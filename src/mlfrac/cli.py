@@ -4,7 +4,8 @@ identity verification suite, and solve the worked variational problems.
 Exit codes: 0 success, 1 at least one verification report failed, 2 usage
 error (a bad flag or expression, ``solve-el --grid-n`` below 8, or an ``--out``
 file that cannot be written), 3 numeric error from the underlying modules or
-an ``ml`` value whose series lost its digits to cancellation (``precision_flag``).
+an ``ml`` value flagged as cancelled (``precision_flag``, the bound at which
+the operators' kernel raises).  ``verify --tol`` sets every report's tolerance.
 """
 
 from __future__ import annotations

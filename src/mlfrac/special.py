@@ -1,4 +1,4 @@
-"""Gamma, Pochhammer, and Mittag-Leffler series evaluation.
+"""Gamma and Mittag-Leffler series evaluation.
 
 The three-parameter (Prabhakar) Mittag-Leffler function
 
@@ -9,12 +9,13 @@ generated by a ratio recurrence whose gamma factors are evaluated as
 log-gamma differences, so the series stays in floating-point range far
 past the overflow point of Gamma itself.  Ratio tables depend only on
 (rho, mu, gamma) and are memoized across calls.  ``ml_eval`` walks the
-cached table term by term in one loop, and ``ml_eval(record_terms=True)``
-replays the same recurrence afterwards instead of recording inside that
-loop.  ``ml_value``, the operators' kernel, sums the same series by Horner's
-rule over coefficients cached per quarter-octave |z| band and sign of z,
-with as many terms as the loop needs at the band's outer edge, and hands a
-z to the loop where that sum fails its checks (see :func:`ml_value`).
+cached table term by term in one loop.  ``ml_value``, the operators' kernel,
+sums the same series by Horner's rule over coefficients cached per
+quarter-octave |z| band and sign of z, with as many terms as the loop needs
+at the band's outer edge, and hands a z to the loop where that sum fails its
+checks (see :func:`ml_value`).  One cancellation rule serves both: a value
+has lost its digits iff eps times the largest term exceeds 1e-6 of it, where
+``ml_eval`` sets ``precision_flag`` and ``ml_value`` raises.
 
 ``exp_sum_kernel`` gives the operator kernel E_alpha(lam s^alpha), lam < 0,
 as an exact sum of decaying exponentials instead.  For 0 < alpha < 1 the
@@ -58,8 +59,7 @@ TERM_CAP = 2000
 Z_MAX = 100.0
 
 _REL_STOP = 1e-16
-_CANCEL_RATIO = 1e-13
-_CANCEL_LIMIT = 1e-6 / 2.0**-52  # ml_value's bound on max_term / |value|
+_CANCEL_LIMIT = 1e-6 / 2.0**-52  # the cancellation bound on max_term / |value|
 
 
 def gamma_fn(x: float) -> float:
@@ -74,20 +74,6 @@ def gamma_fn(x: float) -> float:
     if x > 170.0:
         raise OverflowError(f"gamma_fn overflows for x > 170 (got {x:g})")
     return math.gamma(x)
-
-
-def pochhammer(gamma_p: float, k: int) -> float:
-    """Rising factorial (gamma_p)_k = gamma_p (gamma_p+1) ... (gamma_p+k-1).
-
-    (gamma_p)_0 = 1.  For negative-integer gamma_p the product hits an exact
-    zero factor, so the truncation of the Prabhakar series is exact.
-    """
-    if k < 0:
-        raise DomainError(f"pochhammer requires k >= 0, got {k}")
-    out = 1.0
-    for i in range(k):
-        out *= gamma_p + i
-    return out
 
 
 @dataclass(frozen=True)
@@ -109,16 +95,15 @@ class MLParams:
 class SeriesResult:
     """Outcome of one series summation.
 
-    ``precision_flag`` is set exactly when the summed value is smaller than
-    1e-13 times the largest term magnitude, i.e. when alternating-series
-    cancellation has eaten more than ~13 digits.
+    ``precision_flag`` is set iff eps times the largest term magnitude exceeds
+    1e-6 of the value: cancellation may have cost more than 1e-6 of it, and
+    :func:`ml_value` raises there.
     """
 
     value: float
     terms_used: int
     max_term_magnitude: float
     precision_flag: bool
-    terms: tuple[float, ...] | None = None
 
 
 # key (rho, mu, gamma_p) -> tuple of term ratios r_k with
@@ -184,27 +169,23 @@ def _sum_series(rho: float, mu: float, gamma_p: float, z: float) -> tuple[float,
     )
 
 
-def ml_eval(p: MLParams, z: float, record_terms: bool = False) -> SeriesResult:
+def ml_eval(p: MLParams, z: float) -> SeriesResult:
     """Evaluate the generalized Mittag-Leffler function at real z.
 
     Stops after two consecutive terms below 1e-16 of the partial sum.
     Raises :class:`DomainError` for |z| > 100 and :class:`ConvergenceError`
-    if the term cap is reached first.  ``record_terms`` replays the same
-    recurrence over the terms used.
+    if the term cap is reached first.  A value that lost its digits to
+    cancellation comes back with ``precision_flag`` set.
     """
+    z = float(z)
     if not math.isfinite(z) or abs(z) > Z_MAX:
         raise DomainError(f"ml_eval working domain is |z| <= {Z_MAX:g}, got z={z!r}")
     value, used, max_term = _sum_series(p.rho, p.mu, p.gamma_p, z)
-    terms = None
-    if record_terms:
-        ratios = _ratios(p.rho, p.mu, p.gamma_p, used - 1)[: used - 1]
-        terms = tuple(accumulate(ratios, lambda t, r: t * r * z, initial=math.exp(-math.lgamma(p.mu))))
     return SeriesResult(
         value=value,
         terms_used=used,
         max_term_magnitude=max_term,
-        precision_flag=abs(value) < _CANCEL_RATIO * max_term,
-        terms=terms,
+        precision_flag=max_term > _CANCEL_LIMIT * abs(value),
     )
 
 
@@ -251,7 +232,9 @@ def ml_value(rho: float, mu: float, gamma_p: float, z: float) -> float:
     1e-16 of that sum, or where the band's largest term, taken at its edge,
     breaks the cancellation bound for that sum; so the loop decides every
     refusal.  Raises ConvergenceError where cancellation may have cost more
-    than 1e-6 of the value: eps times the largest term exceeds that."""
+    than 1e-6 of the value: eps times the largest term exceeds that, the
+    bound at which :func:`ml_eval` sets ``precision_flag``."""
+    z = float(z)
     az = abs(z)
     if not az <= Z_MAX:  # also rejects nan
         raise DomainError(f"ml_value working domain is |z| <= {Z_MAX:g}, got z={z!r}")

@@ -6,7 +6,8 @@ import os
 import re
 import subprocess
 import sys
-from contextlib import redirect_stdout
+from collections import namedtuple
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
@@ -16,21 +17,35 @@ from mlfrac.cli import run_cli
 SQPI = math.sqrt(math.pi)
 SRC_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
+Run = namedtuple("Run", "returncode stdout stderr")
 
-def mlfrac(*argv, env_extra=None):
+
+def mlfrac(*argv):
+    """The command line run in process, with argparse's SystemExit read as
+    the return code."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = run_cli(list(argv))
+        except SystemExit as exc:
+            code = exc.code or 0
+    return Run(code, out.getvalue(), err.getvalue())
+
+
+def test_module_entry_point():
+    # the one subprocess test: python -m mlfrac.cli, with its exit codes
     env = dict(os.environ)
-    env.pop("MLFRAC_TOL", None)
     # the child interpreter imports mlfrac from this checkout, installed or not
     env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC_DIR, env.get("PYTHONPATH")) if p)
-    if env_extra:
-        env.update(env_extra)
-    proc = subprocess.run(
-        [sys.executable, "-m", "mlfrac.cli", *argv],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
-    return proc
+    runs = [
+        subprocess.run([sys.executable, "-m", "mlfrac.cli", *argv], capture_output=True, text=True, env=env)
+        for argv in (["ml", "--rho", "1", "--mu", "1", "--z", "1"],
+                     ["ml", "--rho", "0.5", "--mu", "1", "--z", "-12"],
+                     ["ml", "--rho", "1"])
+    ]
+    assert [p.returncode for p in runs] == [0, 3, 2]
+    assert abs(float(runs[0].stdout) - math.e) <= 1e-14
+    assert "max_term_magnitude" in runs[1].stderr and "Traceback" not in runs[1].stderr
 
 
 class TestMlCommand:
@@ -51,16 +66,18 @@ class TestMlCommand:
         assert "error" in p.stderr
 
     def test_cancelled_value_exits_numeric_error(self):
-        # the series sums to -5e7 here (true value 4.3e-4): flagged, so exit 3
-        p = mlfrac("ml", "--rho", "0.98", "--mu", "1", "--z", "-49", "--format", "json")
-        assert p.returncode == 3
-        payload = json.loads(p.stdout)
-        assert payload["precision_flag"] is True
-        assert "max_term_magnitude" in p.stderr
-        assert f"{payload['max_term_magnitude']:.6g}" in p.stderr
-        plain = mlfrac("ml", "--rho", "0.98", "--mu", "1", "--z", "-49")
-        assert plain.returncode == 3
-        assert float(plain.stdout) == payload["value"]
+        # the series sums to -5e7 (true value 4.3e-4), -9.7e48 (true 0.0469)
+        # and 2.3e-3 off: flagged, so exit 3
+        for rho, z in (("0.98", "-49"), ("0.5", "-12"), ("0.9", "-16.8")):
+            p = mlfrac("ml", "--rho", rho, "--mu", "1", "--z", z, "--format", "json")
+            assert p.returncode == 3
+            payload = json.loads(p.stdout)
+            assert payload["precision_flag"] is True
+            assert "max_term_magnitude" in p.stderr
+            assert f"{payload['max_term_magnitude']:.6g}" in p.stderr
+            plain = mlfrac("ml", "--rho", rho, "--mu", "1", "--z", z)
+            assert plain.returncode == 3
+            assert float(plain.stdout) == payload["value"]
 
 
 class TestGridCommands:
@@ -174,10 +191,7 @@ class TestVerifyCommand:
         }
 
     def test_exit_one_on_failure(self):
-        p = mlfrac(
-            "verify", "--id", "caputo-rl", "--alpha", "0.5",
-            env_extra={"MLFRAC_TOL": "1e-30"},
-        )
+        p = mlfrac("verify", "--id", "caputo-rl", "--alpha", "0.5", "--tol", "1e-30")
         assert p.returncode == 1
         assert json.loads(p.stdout)["pass"] is False
 
@@ -196,22 +210,29 @@ class TestVerifyCommand:
             p = mlfrac(*failing, "--tol", tol)
             assert p.returncode == 2
             assert "tolerance must be finite and positive" in p.stderr
-        p = mlfrac(*failing, env_extra={"MLFRAC_TOL": "inf"})
-        assert p.returncode == 3
-        assert "MLFRAC_TOL must be finite and positive" in p.stderr
-        assert p.stdout == ""
+            assert p.stdout == ""
 
     def test_tol_flag_overrides(self):
         p = mlfrac("verify", "--id", "diff-formula", "--tol", "1e-3")
         assert p.returncode == 0
         assert json.loads(p.stdout)["tol"] == 1e-3
 
-    @pytest.mark.parametrize("z", ["0", "1e-7", "-0.5"])
+    def test_tol_reaches_every_report(self):
+        p = mlfrac("verify", "--tol", "1e-30")
+        assert re.findall(r" tol=(\S+)$", p.stderr, re.MULTILINE) == ["1e-30"] * 28
+
+    @pytest.mark.parametrize("z", ["0", "-0.5"])
     def test_diff_formula_z_within_the_step_is_numeric_error(self, z):
         p = mlfrac("verify", "--id", "diff-formula", "--z", z)
         assert p.returncode == 3
         assert p.stderr.startswith("error: diff-formula check needs z > ")
         assert "Traceback" not in p.stderr and p.stdout == ""
+
+    @pytest.mark.parametrize("z", ["1e-5", "1e-7"])
+    def test_diff_formula_small_z_passes(self, z):
+        p = mlfrac("verify", "--id", "diff-formula", "--z", z)
+        assert p.returncode == 0, p.stderr
+        assert json.loads(p.stdout)["abs_err"] <= 1e-9
 
     def test_convolution_custom_params(self):
         p = mlfrac("verify", "--id", "convolution", "--alpha", "0.5",

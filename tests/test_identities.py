@@ -1,5 +1,4 @@
 import math
-import os
 
 import numpy as np
 import pytest
@@ -8,7 +7,6 @@ from mlfrac import identities
 from mlfrac.errors import DomainError
 from mlfrac.identities import (
     IdentityReport,
-    default_tolerance,
     ml_eigen_closed,
     poly,
     run_default_suite,
@@ -62,12 +60,6 @@ class TestReport:
             r = IdentityReport("t", {}, np.array([bad]), np.array([1.0]), tol=math.inf)
             assert r.abs_err == math.inf and not r.passed
 
-    def test_env_tolerance_must_be_finite_and_positive(self, monkeypatch):
-        for text in ("inf", "nan", "0", "-1e-3"):
-            monkeypatch.setenv("MLFRAC_TOL", text)
-            with pytest.raises(DomainError, match="finite and positive"):
-                default_tolerance()
-
     def test_shape_mismatch(self):
         with pytest.raises(DomainError):
             IdentityReport("t", {}, np.array([1.0, 2.0]), np.array([1.0]), tol=1e-5)
@@ -77,17 +69,6 @@ class TestReport:
         d = r.to_json_dict()
         assert set(d) == {"identity", "alpha", "B", "interval", "lhs", "rhs", "abs_err", "tol", "pass"}
         assert d["pass"] is True
-
-    def test_env_tolerance_override(self):
-        old = os.environ.get("MLFRAC_TOL")
-        try:
-            os.environ["MLFRAC_TOL"] = "1e-2"
-            assert default_tolerance() == 1e-2
-        finally:
-            if old is None:
-                os.environ.pop("MLFRAC_TOL", None)
-            else:
-                os.environ["MLFRAC_TOL"] = old
 
 
 class TestIbpIntegrals:
@@ -206,11 +187,18 @@ class TestDiffFormula:
         r = verify_diff_formula(2.0, 2.5, 0.5, -1.0, 1.0)
         assert r.abs_err <= 1e-6
 
-    @pytest.mark.parametrize("z", [0.0, 1e-7, 2e-6, -0.5, math.nan])
+    @pytest.mark.parametrize("z", [0.0, -0.5, math.nan])
     def test_z_within_the_step_of_zero_is_a_domain_error(self, z):
         # z - h <= 0 would raise a complex t^alpha into the series
         with pytest.raises(DomainError, match="d/dz step"):
             verify_diff_formula(1.0, 2.0, 0.5, -1.0, z)
+
+    @pytest.mark.parametrize("z", [1e-7, 2e-6, 1e-5, 1e-3])
+    def test_step_follows_small_z(self, z):
+        # a step fixed at 2e-6 straddled the z^alpha cusp: 6e-6 off at z = 1e-5
+        for gamma_p, mu in ((1.0, 2.0), (2.0, 2.5), (0.5, 3.0)):
+            r = verify_diff_formula(gamma_p, mu, 0.5, -1.0, z)
+            assert r.passed and r.abs_err <= 1e-9, (gamma_p, mu, r.abs_err)
 
 
 class TestZeroMode:
@@ -305,6 +293,16 @@ def test_default_suite_all_pass():
         "convolution",
         "diff-formula",
     }
+    # without a tol every check keeps its own default
+    tols = [r.tol for r in reports]
+    assert (tols.count(1e-5), tols.count(1e-8), tols.count(1e-6)) == (21, 4, 3)
+
+
+def test_tol_reaches_every_report():
+    reports = run_default_suite(tol=1e-30)
+    assert [r.tol for r in reports] == [1e-30] * 28
+    # the convolution and diff-formula reports pass at their own defaults
+    assert not any(r.passed for r in reports[-7:])
 
 
 # run_default_suite's reports, in order, that fail when one operator as
