@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import enum
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,18 +110,18 @@ class GridFunction:
         return (self.b - self.a) / self.n
 
     def to_real_function(self, label: str = "") -> RealFunction:
-        """Piecewise-linear interpolant with its piecewise-constant slope."""
-        ts = self.ts
-        vals = self.values
-        slopes = np.diff(vals) / self.h
+        """Linear interpolant, valued as ``np.interp``, with its piecewise-constant slope."""
+        nodes, vals = self.ts.tolist(), self.values.tolist()
+        rises = (np.diff(self.values) / np.diff(nodes)).tolist()
+        slopes = (np.diff(self.values) / self.h).tolist()
         a, b, n, h = self.a, self.b, self.n, self.h
 
         def fn(t: float) -> float:
-            return float(np.interp(t, ts, vals))
+            i = bisect_right(nodes, t) - 1  # np.interp's cell; the end samples outside [a, b]
+            return rises[i] * (t - nodes[i]) + vals[i] if 0 <= i < n else vals[max(i, 0)]
 
         def deriv(t: float) -> float:
-            i = min(max(int((t - a) / h), 0), n - 1)
-            return float(slopes[i])
+            return slopes[min(max(int((t - a) / h), 0), n - 1)]
 
         return RealFunction(fn=fn, a=a, b=b, deriv=deriv, label=label)
 

@@ -5,7 +5,7 @@ residual L1(s) + (right RL-type derivative of L2)(s); a right derivative in
 the Lagrangian mirrors to the left.  The quadratic-potential problem is
 solved as a fixed point of y -> y0 + c (AB-I-left . AB-I-right) y on a uniform
 grid; the RL part of each integral of the piecewise-linear interpolant is
-exact, one lag convolution of product-integration weights per application.
+exact, one FFT lag convolution of product-integration weights per application.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from typing import Callable
 import numpy as np
 
 from .errors import DegenerateOrder, DivergenceError, DomainError, MlfracError
-from .identities import zero_mode
 from .operators import (
     FracOrder,
     GridFunction,
@@ -146,15 +145,10 @@ def solve_free_particle(
             f"solve_free_particle needs 0 < b < inf and finite y0, amplitude; "
             f"got b={b!r}, y0={y0!r}, amplitude={amplitude!r}"
         )
-    cfg = cfg or DEFAULT_SOLVER
-    n = cfg.grid_n
-    ts = np.linspace(0.0, b, n + 1)
-    values = np.empty(n + 1)
-    values[0] = y0
-    for i in range(1, n + 1):
-        values[i] = y0 + amplitude * zero_mode(ord_, float(ts[i]))
-    singular = (0,) if ord_.alpha < 1.0 else ()
-    return GridFunction(a=0.0, b=b, n=n, values=values, singular=singular)
+    n, alpha = (cfg or DEFAULT_SOLVER).grid_n, ord_.alpha
+    mode = alpha * np.linspace(0.0, b, n + 1)[1:] ** (alpha - 1.0) / (ord_.b_norm * math.gamma(alpha))
+    values = np.concatenate(([y0], y0 + amplitude * mode))
+    return GridFunction(a=0.0, b=b, n=n, values=values, singular=(0,) if alpha < 1.0 else ())
 
 
 def fractional_velocity(grid: GridFunction, ord_: FracOrder) -> RealFunction:
@@ -170,17 +164,17 @@ def fractional_velocity(grid: GridFunction, ord_: FracOrder) -> RealFunction:
         H[0] = 0,  H[i] = e^(-C h) H[i-1] + s_{i-1} (W/C)(1 - e^(-C h)),
 
     and with t in cell i (x_i < t <= x_{i+1}, so a node closes the cell to
-    its left) and d = t - x_i,
+    its left), d = t - x_i, m = e^(-C d) - 1 and G[i] = H[i] - s_i W/C,
 
-        value = (B/(1-alpha)) sum [e^(-C d) H[i] + s_i (W/C)(1 - e^(-C d))],
-        t-derivative = (B/(1-alpha)) sum [e^(-C d) (s_i W - C H[i])].
+        value = (B/(1-alpha)) [sum H[i] + sum m G[i]],
+        t-derivative = -(B/(1-alpha)) [sum C G[i] + sum m C G[i]].
 
-    Construction takes O(n M) time and (n+1) M memory; each evaluation is
-    O(M) and makes no series call.  Raises :class:`DegenerateOrder` for
-    alpha >= ALPHA_KERNEL_CAP, and :class:`DomainError` for a grid with
-    singular entries, for |lam| (b-a)^alpha > Z_MAX (the rule's domain), for
-    orders below about 0.047 (see ``exp_sum_kernel``) and, at evaluation, for
-    t outside [a, b].
+    Construction takes O(n M) time and n M memory; each evaluation is
+    O(M), one expm1 per term and no series call.  Raises
+    :class:`DegenerateOrder` for alpha >= ALPHA_KERNEL_CAP, and
+    :class:`DomainError` for a grid with singular entries, for |lam|
+    (b-a)^alpha > Z_MAX (the rule's domain), for orders below about 0.047
+    (see ``exp_sum_kernel``) and, at evaluation, for t outside [a, b].
     """
     _require_kernel_order(ord_)
     if grid.singular:
@@ -202,44 +196,63 @@ def fractional_velocity(grid: GridFunction, ord_: FracOrder) -> RealFunction:
     hist = np.zeros((n + 1, len(w)))
     for i in range(1, n + 1):
         hist[i] = decay * hist[i - 1] + slopes[i - 1] * ramp
+    gaps = hist[:-1] - np.multiply.outer(slopes, w_c)
+    hist_sums, gap_rates = hist.sum(axis=1).tolist(), (gaps @ c).tolist()
     nodes = grid.ts.tolist()
 
-    def cell(t: float) -> tuple[int, np.ndarray]:
-        # cell index and -C d
+    def cell(t: float) -> tuple[int, np.ndarray]:  # the cell index and m
         if not a <= t <= b:
             raise DomainError(f"fractional velocity evaluated at t={t!r} outside [{a!r}, {b!r}]")
         i = max(bisect_left(nodes, t) - 1, 0)
-        return i, c * (nodes[i] - t)
+        return i, np.expm1(c * (nodes[i] - t))
 
     def fn(t: float) -> float:
-        i, x = cell(t)
-        return scale * float(np.exp(x) @ hist[i] - slopes[i] * (w_c @ np.expm1(x)))
+        i, m = cell(t)
+        return scale * (hist_sums[i] + float(m @ gaps[i]))
 
     def deriv(t: float) -> float:
-        i, x = cell(t)
-        return scale * float(np.exp(x) @ (slopes[i] * w - c * hist[i]))
+        i, m = cell(t)
+        return -scale * (gap_rates[i] + float(m @ (c * gaps[i])))
 
     return RealFunction(fn=fn, a=a, b=b, deriv=deriv, label="ABC-D of interpolant")
 
 
-def rl_integral_on_grid(values: np.ndarray, alpha: float, h: float) -> np.ndarray:
-    """Exact left RL integral of the linear interpolant of ``values`` (step h) at every node.
+def _lag_operator(n: int, alpha: float, h: float) -> Callable[[np.ndarray], np.ndarray]:
+    """Left RL integral at every node of the linear interpolant of n+1 samples (step h).
 
     Product integration: q1[d], q2[d] are the moments of the cell d steps back
     against its two hat functions, so node i is a lag convolution with the
     kernel K[k] = q1[k] + q2[k+1], less the q2 term of node 0, which has no
-    cell to its left.  The right integral is this one on reversed values, reversed.
+    cell to its left.  K's spectrum is taken once, at the least power of two
+    above 2n, so that no product wraps onto a kept node.  The right integral
+    is the left one of the reversed samples, reversed.
     """
-    if not (alpha > 0.0):
-        raise DomainError(f"rl_integral_on_grid needs alpha > 0, got {alpha!r}")
-    n = len(values) - 1
     x = np.arange(0, n + 2, dtype=float) * h
     dp = np.diff(x**alpha) / alpha
     dp1 = np.diff(x ** (alpha + 1.0)) / (alpha + 1.0)
-    q1 = np.concatenate(([0.0], dp1 - x[:-1] * dp))
-    q2 = np.concatenate(([0.0], x[1:] * dp - dp1))
-    lagged = np.convolve(q1[:-1] + q2[1:], values)[: n + 1] - values[0] * q2[1:]
-    return lagged / (math.gamma(alpha) * h)
+    norm = math.gamma(alpha) * h
+    q1 = np.concatenate(([0.0], dp1[:-1] - x[:-2] * dp[:-1])) / norm
+    q2 = (x[1:] * dp - dp1) / norm  # q2[k+1]
+    size = 1 << (2 * n).bit_length()
+    spectrum = np.fft.rfft(q1 + q2, size)
+
+    def apply(values: np.ndarray) -> np.ndarray:
+        lagged = np.fft.irfft(np.fft.rfft(values, size) * spectrum, size)[: n + 1] - values[0] * q2
+        lagged[0] = 0.0  # the empty integral at the anchor
+        return lagged
+
+    return apply
+
+
+def rl_integral_on_grid(values: np.ndarray, alpha: float, h: float) -> np.ndarray:
+    """Exact left RL integral of the linear interpolant of ``values`` (step h) at every node."""
+    if not (0.0 < alpha < math.inf and 0.0 < h < math.inf and len(values) > 0
+            and np.all(np.isfinite(values))):
+        raise DomainError(
+            f"rl_integral_on_grid needs finite alpha, h > 0 and finite samples; "
+            f"got alpha={alpha!r}, h={h!r} and {len(values)} samples"
+        )
+    return _lag_operator(len(values) - 1, alpha, h)(values)
 
 
 def solve_quadratic_potential(
@@ -252,7 +265,7 @@ def solve_quadratic_potential(
     """Picard iteration for y = y0 + c (AB-I-left . AB-I-right) y on [0, b].
 
     Iterates live on the uniform grid; each AB integral of the linear
-    interpolant is applied exactly as w0 y + w1 RL(y), the RL part one lag
+    interpolant is applied exactly as w0 y + w1 RL(y), the RL part one FFT lag
     convolution.  Divergence is detected at run time (five consecutive
     growing steps, or the iteration budget).  The reported contraction bound
     is |c| K, with K the infinity-norm of the composed operator: its entries
@@ -270,10 +283,11 @@ def solve_quadratic_potential(
     alpha, h = ord_.alpha, b / n
     w0 = (1.0 - alpha) / ord_.b_norm
     w1 = alpha / ord_.b_norm
+    rl = _lag_operator(n, alpha, h)
 
     def composed(y: np.ndarray) -> np.ndarray:
-        right = w0 * y + w1 * rl_integral_on_grid(y[::-1], alpha, h)[::-1]
-        return w0 * right + w1 * rl_integral_on_grid(right, alpha, h)
+        right = w0 * y + w1 * rl(y[::-1])[::-1]
+        return w0 * right + w1 * rl(right)
 
     bound = abs(c) * float(np.max(composed(np.ones(n + 1))))
 
@@ -281,12 +295,9 @@ def solve_quadratic_potential(
     y = base.copy()
     changes: list[float] = []
     grow_run = 0
-    converged = False
-    iterations = 0
     for _ in range(cfg.fp_max_iter):
         y_next = base + c * composed(y)
         change = float(np.max(np.abs(y_next - y)))
-        iterations += 1
         if changes and change > changes[-1]:
             grow_run += 1
             if grow_run >= 5:
@@ -299,9 +310,8 @@ def solve_quadratic_potential(
         changes.append(change)
         y = y_next
         if change <= cfg.fp_tol:
-            converged = True
             break
-    if not converged:
+    else:
         raise DivergenceError(
             f"no convergence within {cfg.fp_max_iter} iterations "
             f"(last change {changes[-1]:.3g}, contraction bound {bound:.3g})"
@@ -309,10 +319,9 @@ def solve_quadratic_potential(
     ratios = [c2 / c1 for c1, c2 in zip(changes, changes[1:]) if c1 > 0.0]
     q = max(ratios) if ratios else None
     residual = float(np.max(np.abs(y - base - c * composed(y))))
-    grid = GridFunction(a=0.0, b=b, n=n, values=y)
     return PicardResult(
-        grid=grid,
-        iterations=iterations,
+        grid=GridFunction(a=0.0, b=b, n=n, values=y),
+        iterations=len(changes),
         sup_changes=tuple(changes),
         contraction_q=q,
         contraction_bound=bound,

@@ -14,8 +14,9 @@ import io
 import sys
 from pathlib import Path
 
-from mlfrac import cli, identities, quadrature
-from mlfrac.operators import FracOrder
+from mlfrac import cli, identities, operators, quadrature
+from mlfrac.operators import FracOrder, Side
+from mlfrac.variational import SolverConfig, solve_quadratic_potential
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 
@@ -79,3 +80,18 @@ def test_caputo_rl_check_counts_every_graded_half():
     assert tracer.operator_calls["abc_derivative"] == tracer.operator_calls["abr_derivative_kernel_diff"] == 5
     assert (c.quad_calls, c.quad_evals) == (25, 645)
     assert c.special_calls == c.quad_evals + 10
+
+
+def test_picard_interpolant_keeps_the_panel_decisions():
+    # the grid interpolant's values equal np.interp's to the bit; this is the
+    # count np.interp's values give, so an interpolant that rounds otherwise
+    # shows here as moved panel decisions
+    half = FracOrder(0.5)
+    grid = solve_quadratic_potential(half, 0.1, 1.0, 1.0, SolverConfig(grid_n=16)).grid
+    interp = grid.to_real_function()
+    tracer = Tracer()
+    try:
+        operators.ab_integral(Side.Right, interp, half, 0.0)
+    finally:
+        tracer.close()
+    assert (tracer.counts.quad_calls, tracer.counts.quad_evals) == (1, 2445)

@@ -6,6 +6,7 @@ import pytest
 
 from mlfrac import variational
 from mlfrac.errors import DegenerateOrder, DivergenceError, DomainError
+from mlfrac.identities import zero_mode
 from mlfrac.operators import (
     FracOrder,
     GridFunction,
@@ -74,6 +75,13 @@ class TestFreeParticle:
         mask = g.ts >= 0.5
         assert np.max(np.abs(g.values[mask] - 2.0)) <= 5e-3
 
+    def test_matches_the_zero_mode_per_node(self):
+        for alpha in (0.25, 0.5, 0.999):
+            o = FracOrder(alpha, 0.8)
+            g = solve_free_particle(o, 0.0, 2.0, SolverConfig(grid_n=50))
+            want = np.array([zero_mode(o, float(t)) for t in g.ts[1:]])
+            assert np.all(np.abs(g.values[1:] - want) <= 2.0 * np.spacing(want))
+
     def test_amplitude_parameter(self):
         g1 = solve_free_particle(HALF, 0.5, 1.0, SolverConfig(grid_n=8), amplitude=2.0)
         g2 = solve_free_particle(HALF, 0.5, 1.0, SolverConfig(grid_n=8), amplitude=1.0)
@@ -124,16 +132,18 @@ def dense_composed(ord_, b, n):
     [x_j, x_j+1] below node i adds its two hat-function moments to columns j
     and j+1 of row i.  M_R is M_L reversed in both indices."""
     alpha, h = ord_.alpha, b / n
+    # the moments cancel, so the ends are the nodes j h: hi - h instead
+    # would cost 3e-14 of the bound at n = 800
     hi = np.arange(1, n + 1) * h
-    lo = hi - h
+    lo = np.arange(0, n) * h
     p0 = (hi**alpha - lo**alpha) / alpha
     p1 = (hi ** (alpha + 1.0) - lo ** (alpha + 1.0)) / (alpha + 1.0)
     q1, q2 = p1 - lo * p0, hi * p0 - p1
     w = np.zeros((n + 1, n + 1))
-    for i in range(1, n + 1):
-        for j in range(i):
-            w[i, j] += q1[i - j - 1]
-            w[i, j + 1] += q2[i - j - 1]
+    for j in range(n):
+        # the rows i = j+1 .. n, at distance i - j - 1 = 0 .. n-j-1 above the cell
+        w[j + 1 :, j] += q1[: n - j]
+        w[j + 1 :, j + 1] += q2[: n - j]
     w /= math.gamma(alpha) * h
     m_left = ((1.0 - alpha) * np.eye(n + 1) + alpha * w) / ord_.b_norm
     return m_left @ m_left[::-1, ::-1]
@@ -149,6 +159,35 @@ class TestWeightMatrix:
             gotc = rl_integral_on_grid(np.ones(41), alpha, 1.0 / 40)
             wantc = ts**alpha / math.gamma(1.0 + alpha)
             assert np.max(np.abs(gotc - wantc)) <= 1e-14
+
+    @pytest.mark.parametrize("n", [1, 2, 255, 256, 2000])
+    @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75])
+    def test_matches_direct_convolution(self, n, alpha):
+        # the FFT product against np.convolve of the same product-integration weights
+        h = 1.0 / n
+        x = np.arange(0, n + 2) * h
+        dp = np.diff(x**alpha) / alpha
+        dp1 = np.diff(x ** (alpha + 1.0)) / (alpha + 1.0)
+        q1 = np.concatenate(([0.0], dp1 - x[:-1] * dp))
+        q2 = np.concatenate(([0.0], x[1:] * dp - dp1))
+        vals = np.cos(7.0 * x[:-1]) + x[:-1]
+        lagged = np.convolve(q1[:-1] + q2[1:], vals)[: n + 1] - vals[0] * q2[1:]
+        want = lagged / (math.gamma(alpha) * h)
+        got = rl_integral_on_grid(vals, alpha, h)
+        assert np.max(np.abs(got - want)) <= 2e-15 * np.max(np.abs(want))
+        assert got[0] == want[0] == 0.0
+
+    @pytest.mark.parametrize(
+        "args",
+        [(np.ones(9), math.inf, 0.125), (np.ones(9), 0.5, 0.0), (np.ones(9), 0.5, -0.125),
+         (np.ones(9), 0.5, math.nan), (np.array([]), 0.5, 0.125),
+         (np.array([0.0, 1.0, math.nan]), 0.5, 0.125)],
+        ids=["alpha-inf", "h-zero", "h-negative", "h-nan", "no-samples", "nan-sample"],
+    )
+    def test_rejects_bad_input(self, args):
+        # a non-finite sample would reach every node through the FFT product
+        with pytest.raises(DomainError, match="rl_integral_on_grid"):
+            rl_integral_on_grid(*args)
 
     def test_matches_quadrature_of_interpolant(self):
         # dual route: lag convolution against the adaptive substitution path,
@@ -176,6 +215,17 @@ class TestWeightMatrix:
             direct = (ab_integral(Side.Right, interp, ord_, float(ts[i])) - w0 * vals[i]) / w1
             assert abs(got[i] - direct) <= 1e-9
         assert got[-1] == 0.0
+
+
+def test_interpolant_is_np_interp():
+    rng = np.random.default_rng(7)
+    grid = GridFunction(-0.3, 1.7, 37, rng.normal(size=38))
+    interp = grid.to_real_function()
+    assert [interp.fn(t) for t in grid.ts.tolist()] == grid.values.tolist()
+    ts = np.concatenate([rng.uniform(-1.0, 2.5, 2000), [-math.inf, math.inf]])
+    got = np.array([interp.fn(t) for t in ts.tolist()])
+    want = np.interp(ts, grid.ts, grid.values)
+    assert np.all(np.abs(got - want) <= np.spacing(np.abs(want)))
 
 
 class TestQuadraticPotential:
@@ -217,7 +267,7 @@ class TestQuadraticPotential:
             with pytest.raises(DomainError, match="finite"):
                 solve_quadratic_potential(HALF, c, y0, b, SolverConfig(fp_max_iter=1))
 
-    @pytest.mark.parametrize("n", [16, 64])
+    @pytest.mark.parametrize("n", [16, 64, 800])
     @pytest.mark.parametrize("alpha", [0.25, 0.75])
     def test_matches_dense_system(self, n, alpha):
         # bound = |c| times the largest row sum of the non-negative M_L M_R,
@@ -255,6 +305,22 @@ class TestFractionalVelocity:
         for t in (0.0, 0.05, 0.35, float(ts[5]), 0.8, 1.0):
             direct = abc_derivative(Side.Left, interp, HALF, t, cfg)
             assert abs(fv.fn(t) - direct) <= 1e-6
+
+    @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75])
+    def test_grid_of_x_matches_the_closed_forms(self, alpha):
+        # D x = (B/(1-a)) t E_{a,2}(lam t^a), and its t-derivative is
+        # (B/(1-a)) E_a(lam t^a); the interpolant of x is x itself.  On [0, 1]
+        # |z| <= 3, where the series reference keeps 1e-12 (at z = -5 and
+        # a = 0.75 its cancellation costs 1.4e-11)
+        o, n, b = FracOrder(alpha, 0.8), 16, 1.0
+        ts = np.linspace(0.0, b, n + 1)
+        fv = fractional_velocity(GridFunction(0.0, b, n, ts), o)
+        scale = o.b_norm / (1.0 - alpha)
+        for t in [0.0, *ts[1:-1], *(ts[:-1] + 0.5 * b / n), b]:
+            z = o.lam * t**alpha
+            value, slope = scale * t * ml_value(alpha, 2.0, 1.0, z), scale * ml_value(alpha, 1.0, 1.0, z)
+            assert abs(fv.fn(t) - value) <= 1e-12 * abs(value)
+            assert abs(fv.deriv(t) - slope) <= 1e-12 * abs(slope)
 
     def test_no_series_call_at_any_t(self, monkeypatch):
         # value and derivative come from the exponential sum, O(M) per point
