@@ -232,7 +232,7 @@ def evaluate(node: Expr, x: float) -> float:
     """Evaluate at x by walking the tree: the reference for the compiled
     functions of :func:`to_real_function`, and their error path.  Domain
     violations (ln/sqrt of a negative number, division by zero, invalid
-    powers) raise DomainError."""
+    powers) and overflows (of a power, exp or gamma) raise DomainError."""
     if isinstance(node, Num):
         return node.value
     if isinstance(node, Var):
@@ -250,12 +250,16 @@ def evaluate(node: Expr, x: float) -> float:
             raise DomainError(f"division by zero at x={x:g}") from exc
         except ValueError as exc:
             raise DomainError(f"invalid power {lv:g}^{rv:g} at x={x:g}") from exc
+        except OverflowError as exc:
+            raise DomainError(f"{lv:g}^{rv:g} overflows at x={x:g}") from exc
     if isinstance(node, Call):
         v = evaluate(node.arg, x)
         try:
             return _FUNCTIONS[node.fn](v)
         except ValueError as exc:
             raise DomainError(f"{node.fn} of {v:g} is undefined") from exc
+        except OverflowError as exc:
+            raise DomainError(f"{node.fn} of {v:g} overflows") from exc
     raise TypeError(f"not an Expr node: {node!r}")
 
 
@@ -399,13 +403,14 @@ def _compile(node: Expr) -> Callable[[float], float]:
     """node as one straight-line Python function of x: one assignment per
     distinct inner node, in evaluate's order and with its primitives, so
     every value is bit-identical to evaluate's.  Literals and constants are
-    bound as values.  A ZeroDivisionError or ValueError falls back to
-    evaluate, which raises the DomainError with its message."""
+    bound as values.  An ArithmeticError (division by zero, overflow) or a
+    ValueError falls back to evaluate, which raises the DomainError with its
+    message."""
     scope: dict = {"pow": math.pow, "evaluate": evaluate, "node": node, **_FUNCTIONS}
     lines: list[str] = []
     result = _emit(node, scope, lines, {})
     source = "def compiled(x):\n    try:\n" + "".join(lines) + f"        return {result}\n"
-    source += "    except (ZeroDivisionError, ValueError):\n        pass\n    return evaluate(node, x)\n"
+    source += "    except (ArithmeticError, ValueError):\n        pass\n    return evaluate(node, x)\n"
     exec(compile(source, "<mlfrac.expr>", "exec"), scope)
     return scope.pop("compiled")  # scope keeps no reference back: no cycle for the collector
 

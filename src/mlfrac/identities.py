@@ -95,7 +95,7 @@ class IdentityReport:
         } | ({"error": self.params["error"]} if "error" in self.params else {})
 
 
-def _failed_report(name: str, params: dict, tol: float, exc: MlfracError) -> IdentityReport:
+def _failed_report(name: str, params: dict, tol: float, exc: Exception) -> IdentityReport:
     params = dict(params)
     params["error"] = f"{type(exc).__name__}: {exc}"
     return IdentityReport(name, params, np.array([math.nan]), np.array([math.nan]), tol)
@@ -199,11 +199,10 @@ def verify_caputo_ibp(
     a, b = f.a, f.b
     params = _base_params(ord_, a, b, f=f.label, g=g.label)
     params["side"] = side.name
-    scale = ord_.b_norm / (1.0 - ord_.alpha)
     kernel = MLParams(ord_.alpha, 1.0, 1.0)
-    lam = ord_.lam
     other = opposite(side)
     try:
+        lam, scale = ord_.lam, ord_.b_norm / (1.0 - ord_.alpha)
         lhs = _outer_integral(
             lambda t: abc_derivative(side, f, ord_, t, _INNER) * g.fn(t), side, ord_.alpha, a, b
         )
@@ -237,11 +236,10 @@ def verify_caputo_rl_relation(
     params = _base_params(ord_, a, b, f=f.label)
     params["side"] = side.name
     params["h"] = h
-    scale = ord_.b_norm / (1.0 - ord_.alpha)
-    lam = ord_.lam
     anchor = side.anchor(f)
-    anchor_val = f.fn(anchor)
     try:
+        lam, scale = ord_.lam, ord_.b_norm / (1.0 - ord_.alpha)
+        anchor_val = f.fn(anchor)
         ts = _interior_grid(a, b, 5)
         lhs = [abc_derivative(side, f, ord_, t, _TIGHT) for t in ts]
         rhs = []
@@ -270,8 +268,8 @@ def verify_inverse_and_fundamental(
     params = _base_params(ord_, a, b, f=f.label)
     params["side"] = side.name
     params["compositions"] = ("D.I", "I.D", "I.Dc")
-    anchor_val = f.fn(side.anchor(f))
     try:
+        anchor_val = f.fn(side.anchor(f))
         ts = _interior_grid(a, b, 4, margin=0.15)
         abi_f = RealFunction(
             fn=lambda x: ab_integral(side, f, ord_, x, _INNER), a=a, b=b
@@ -328,7 +326,7 @@ def verify_convolution(
         )
         lhs = gen_ml_integral(Side.Left, MLParams(alpha, 1.0, 1.0), lambda_, f, x, _INNER)
         rhs = x**nu * ml_value(alpha, 1.0 + nu, 1.0 + sigma, lambda_ * x**alpha)
-    except MlfracError as exc:
+    except (MlfracError, OverflowError) as exc:
         return _failed_report("convolution", params, tol, exc)
     return IdentityReport("convolution", params, np.array([lhs]), np.array([rhs]), tol)
 
@@ -355,7 +353,7 @@ def verify_diff_formula(
         fn = lambda t: t ** (mu - 1.0) * ml_value(alpha, mu, gamma_p, lambda_ * t**alpha)
         lhs = (fn(z + h) - fn(z - h)) / (2.0 * h)
         rhs = z ** (mu - 2.0) * ml_value(alpha, mu - 1.0, gamma_p, lambda_ * z**alpha)
-    except MlfracError as exc:
+    except (MlfracError, OverflowError) as exc:
         return _failed_report("diff-formula", params, tol, exc)
     return IdentityReport("diff-formula", params, np.array([lhs]), np.array([rhs]), tol)
 
@@ -372,14 +370,15 @@ def ml_eigen_closed(kind: str, sigma: float, nu: float, ord_: FracOrder, x: floa
     """Closed form of the ML-kernel derivative of x^(nu-1) E(alpha,nu;sigma)(lam x^alpha).
 
     Both derivative kinds share one right-hand side:
-    (B/(1-alpha)) x^(nu-1) E(alpha,nu;1+sigma)(lam x^alpha).
+    (B/(1-alpha)) x^(nu-1) E(alpha,nu;1+sigma)(lam x^alpha).  A closed form,
+    not an operator: it holds for every alpha < 1, the operators' cap aside.
     """
     if kind not in ("ABR", "ABC"):
         raise DomainError(f"kind must be 'ABR' or 'ABC', got {kind!r}")
     if nu <= 0.0 or x <= 0.0:
         raise DomainError("ml_eigen_closed requires nu > 0 and x > 0")
-    lam = ord_.lam
-    scale = ord_.b_norm / (1.0 - ord_.alpha)
+    w0, w1 = ord_.ab_weights  # (1-a)/B, a/B; their alpha < 1 gate is all a closed form needs
+    lam, scale = -w1 / w0, 1.0 / w0
     return scale * x ** (nu - 1.0) * ml_value(ord_.alpha, nu, 1.0 + sigma, lam * x**ord_.alpha)
 
 

@@ -27,8 +27,8 @@ from .quadrature import DEFAULT_QUAD, QuadConfig, RealFunction, power_quad, rl_w
 from .quadrature import adaptive_gl  # noqa: F401
 from .special import MLParams, ml_one, ml_value
 
-#: ML-kernel operators reject orders at or above this value: the kernel rate
-#: -alpha/(1-alpha) would push series arguments out of the working domain.
+#: FracOrder.lam, and so every ML-kernel operator, rejects orders at or above
+#: this value: the kernel rate would push series arguments out of their domain.
 ALPHA_KERNEL_CAP = 0.99
 
 
@@ -67,17 +67,26 @@ class FracOrder:
 
     @property
     def lam(self) -> float:
-        """Kernel rate -alpha/(1-alpha)."""
-        if self.alpha >= 1.0:
-            raise DegenerateOrder("kernel rate is undefined at alpha = 1")
+        """Kernel rate -alpha/(1-alpha); every ML-kernel operator's order gate."""
+        if self.alpha >= ALPHA_KERNEL_CAP:
+            raise DegenerateOrder(
+                f"ML-kernel operators require alpha < {ALPHA_KERNEL_CAP}, got {self.alpha:g}"
+            )
         return -self.alpha / (1.0 - self.alpha)
+
+    @property
+    def ab_weights(self) -> tuple[float, float]:
+        """The ML-kernel integral's weights ((1-a)/B, a/B) on f and on I^a f."""
+        if self.alpha >= 1.0:
+            raise DegenerateOrder("the ML-kernel integral requires alpha < 1")
+        return (1.0 - self.alpha) / self.b_norm, self.alpha / self.b_norm
 
 
 @dataclass(frozen=True)
 class GridFunction:
     """Samples of a function at the n+1 uniform nodes of [a, b].
 
-    ``singular`` lists indices whose true value is unbounded; the stored
+    ``singular`` lists indices in 0..n whose true value is unbounded; the stored
     entry there is a reported stand-in (e.g. the assigned boundary value).
     """
 
@@ -95,6 +104,8 @@ class GridFunction:
         vals = np.asarray(self.values, dtype=float)
         if vals.shape != (self.n + 1,):
             raise DomainError(f"expected {self.n + 1} samples, got shape {vals.shape}")
+        if not all(0 <= i <= self.n for i in self.singular):
+            raise DomainError(f"singular indices must lie in 0..{self.n}, got {self.singular}")
         regular = np.ones(self.n + 1, dtype=bool)
         regular[list(self.singular)] = False
         if not np.all(np.isfinite(vals[regular])):
@@ -113,25 +124,16 @@ class GridFunction:
         """Linear interpolant, valued as ``np.interp``, with its piecewise-constant slope."""
         nodes, vals = self.ts.tolist(), self.values.tolist()
         rises = (np.diff(self.values) / np.diff(nodes)).tolist()
-        slopes = (np.diff(self.values) / self.h).tolist()
-        a, b, n, h = self.a, self.b, self.n, self.h
+        n = self.n
 
         def fn(t: float) -> float:
             i = bisect_right(nodes, t) - 1  # np.interp's cell; the end samples outside [a, b]
             return rises[i] * (t - nodes[i]) + vals[i] if 0 <= i < n else vals[max(i, 0)]
 
-        def deriv(t: float) -> float:
-            return slopes[min(max(int((t - a) / h), 0), n - 1)]
+        def deriv(t: float) -> float:  # fn's cell, so a node reads the slope on its right
+            return rises[min(max(bisect_right(nodes, t) - 1, 0), n - 1)]
 
-        return RealFunction(fn=fn, a=a, b=b, deriv=deriv, label=label)
-
-
-def _require_kernel_order(ord_: FracOrder) -> None:
-    if ord_.alpha >= ALPHA_KERNEL_CAP:
-        raise DegenerateOrder(
-            f"ML-kernel operators require alpha < {ALPHA_KERNEL_CAP}, "
-            f"got {ord_.alpha:g}"
-        )
+        return RealFunction(fn=fn, a=self.a, b=self.b, deriv=deriv, label=label)
 
 
 def rl_integral(
@@ -147,10 +149,7 @@ def ab_integral(
     side: Side, f: RealFunction, ord_: FracOrder, t: float, cfg: QuadConfig | None = None
 ) -> float:
     """Weighted identity plus RL integral: ((1-a)/B) f + (a/B) I^a f."""
-    if ord_.alpha >= 1.0:
-        raise DegenerateOrder("the ML-kernel integral requires alpha < 1")
-    w0 = (1.0 - ord_.alpha) / ord_.b_norm
-    w1 = ord_.alpha / ord_.b_norm
+    w0, w1 = ord_.ab_weights
     return w0 * f.fn(t) + w1 * rl_integral(side, f, ord_, t, cfg)
 
 
@@ -160,7 +159,6 @@ def abr_derivative(
     """RL-type ML-kernel derivative from f alone: (B/(1-a)) [f(t) + lam P(t)],
     P the Prabhakar integral of f with kernel dist^(a-1) E_{a,a}(lam dist^a).
     P runs at the caller's tolerances over max(1, |lam|), the factor on its error."""
-    _require_kernel_order(ord_)
     alpha, lam = ord_.alpha, ord_.lam
     cfg, shrink = cfg or DEFAULT_QUAD, max(1.0, abs(lam))
     inner = QuadConfig(cfg.abs_tol / shrink, cfg.rel_tol / shrink)
@@ -173,12 +171,11 @@ def abc_derivative(
 ) -> float:
     """Caputo-type ML-kernel derivative: the RL-type one minus the anchor term
     (B/(1-a)) f(anchor) E_a(lam dist^a).  Zero at the anchor."""
-    _require_kernel_order(ord_)
-    anchor = side.anchor(f)
+    lam, anchor = ord_.lam, side.anchor(f)
     if t == anchor:
         return 0.0
     rl_type = abr_derivative(side, f, ord_, t, cfg)
-    kernel = ml_one(ord_.alpha, ord_.lam * abs(t - anchor) ** ord_.alpha)
+    kernel = ml_one(ord_.alpha, lam * abs(t - anchor) ** ord_.alpha)
     return rl_type - ord_.b_norm / (1.0 - ord_.alpha) * f.fn(anchor) * kernel
 
 
@@ -202,7 +199,6 @@ def abr_derivative_kernel_diff(
     operand that is itself an operator output.  Needs f bounded (not
     differentiable), so it also covers integrable anchor singularities.
     """
-    _require_kernel_order(ord_)
     lam = ord_.lam
     alpha = ord_.alpha
     scale = ord_.b_norm / (1.0 - alpha)

@@ -17,16 +17,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DegenerateOrder, DivergenceError, DomainError, MlfracError
-from .operators import (
-    FracOrder,
-    GridFunction,
-    Side,
-    _require_kernel_order,
-    abr_derivative,
-    gen_ml_integral,
-    opposite,
-)
+from .errors import DivergenceError, DomainError, MlfracError
+from .operators import FracOrder, GridFunction, Side, abr_derivative, gen_ml_integral, opposite
 from .quadrature import QuadConfig, RealFunction
 from .special import Z_MAX, MLParams, exp_sum_kernel
 # unused here, but bench/tracing.py patches variational.ml_value
@@ -176,12 +168,11 @@ def fractional_velocity(grid: GridFunction, ord_: FracOrder) -> RealFunction:
     (b-a)^alpha > Z_MAX (the rule's domain), for orders below about 0.047
     (see ``exp_sum_kernel``) and, at evaluation, for t outside [a, b].
     """
-    _require_kernel_order(ord_)
+    alpha, lam = ord_.alpha, ord_.lam
     if grid.singular:
         raise DomainError(
             f"fractional velocity needs finite samples; entries {grid.singular} are singular"
         )
-    alpha, lam = ord_.alpha, ord_.lam
     a, b, n, h = grid.a, grid.b, grid.n, grid.h
     if -lam * (b - a) ** alpha > Z_MAX:
         raise DomainError(
@@ -271,8 +262,7 @@ def solve_quadratic_potential(
     is |c| K, with K the infinity-norm of the composed operator: its entries
     are non-negative, so K is its largest row sum, the image of all-ones.
     """
-    if ord_.alpha >= 1.0:
-        raise DegenerateOrder("the ML-kernel integral requires alpha < 1")
+    w0, w1 = ord_.ab_weights
     if not (0.0 < b < math.inf and math.isfinite(c) and math.isfinite(y0)):
         raise DomainError(
             f"solve_quadratic_potential needs 0 < b < inf and finite c, y0; "
@@ -280,10 +270,7 @@ def solve_quadratic_potential(
         )
     cfg = cfg or DEFAULT_SOLVER
     n = cfg.grid_n
-    alpha, h = ord_.alpha, b / n
-    w0 = (1.0 - alpha) / ord_.b_norm
-    w1 = alpha / ord_.b_norm
-    rl = _lag_operator(n, alpha, h)
+    rl = _lag_operator(n, ord_.alpha, b / n)
 
     def composed(y: np.ndarray) -> np.ndarray:
         right = w0 * y + w1 * rl(y[::-1])[::-1]

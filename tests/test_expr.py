@@ -107,6 +107,9 @@ class TestParseAndEvaluate:
             ev("(-8)^(1/2)")
         with pytest.raises(PoleError):
             ev("gamma(0)")
+        for text in ("exp(1000)", "2^5000", "gamma(200)"):
+            with pytest.raises(DomainError, match="overflows"):
+                ev(text)
 
 
 CORPUS = [
@@ -258,7 +261,8 @@ def test_compiled_function_is_bit_identical_to_evaluate(tree):
 
 
 def test_compiled_corpus_is_bit_identical_to_evaluate():
-    for text in CORPUS + ["1/x", "ln(x)", "sqrt(x-1)", "x^(1/3)", "gamma(x-1)", "exp(x)*x^300", "x/x"]:
+    for text in CORPUS + ["1/x", "ln(x)", "sqrt(x-1)", "x^(1/3)", "gamma(x-1)", "exp(x)*x^300", "x/x",
+                        "exp(1000*x)", "2^(5000*x)", "gamma(200*x)"]:
         _assert_compiled_matches_evaluate(parse_expr(text))
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mlfrac import identities
-from mlfrac.errors import DomainError
+from mlfrac.errors import DegenerateOrder, DomainError
 from mlfrac.identities import (
     IdentityReport,
     ml_eigen_closed,
@@ -173,6 +173,33 @@ class TestConvolution:
         assert r.abs_err <= 1e-8
 
 
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda: verify_convolution(1.0, 2000.0, 0.5, -1.0, 2.0),  # x^nu = 2^2000
+        lambda: verify_diff_formula(1.0, 10000.0, 0.5, -1.0, 2.0),  # z^(mu-1) = 2^9999
+    ],
+    ids=["convolution", "diff-formula"],
+)
+def test_overflow_of_the_checks_own_powers_fails_the_report(check):
+    r = check()
+    assert not r.passed and r.params["error"].startswith("OverflowError")
+
+
+@pytest.mark.parametrize("alpha", [1.0, 0.995])
+@pytest.mark.parametrize(
+    "check",
+    [lambda o: verify_caputo_ibp(X, ONE_MINUS_X, o), lambda o: verify_caputo_rl_relation(X_SQ, o)],
+    ids=["caputo-ibp", "caputo-rl"],
+)
+def test_order_at_or_above_the_cap_fails_the_report(check, alpha):
+    # both checks read the kernel rate and B/(1-alpha), which at alpha = 1
+    # would divide by zero, inside their try
+    r = check(FracOrder(alpha))
+    assert not r.passed
+    assert r.params["error"].startswith("DegenerateOrder: ML-kernel operators require alpha < 0.99")
+
+
 class TestDiffFormula:
     def test_exponential_case(self):
         # alpha=1, mu=2: d/dz (e^z - 1) = e^z
@@ -239,6 +266,13 @@ class TestEigenClosed:
         assert a == b
         with pytest.raises(DomainError):
             ml_eigen_closed("XYZ", 1.0, 1.5, HALF, 0.8)
+
+    def test_closed_form_is_not_capped(self):
+        # a closed form, not an operator: defined below alpha = 1, cap or not
+        got = ml_eigen_closed("ABC", 1.0, 1.5, FracOrder(0.995), 0.01)
+        assert math.isclose(got, 0.4020056456837648, rel_tol=1e-15)
+        with pytest.raises(DegenerateOrder):
+            ml_eigen_closed("ABC", 1.0, 1.5, FracOrder(1.0), 0.01)
 
     def test_pochhammer_truncation_case(self):
         # sigma = -1, nu = 1: E(a,1;0)(z) = 1, so the value is B/(1-a)

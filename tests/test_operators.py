@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from mlfrac import operators, quadrature
 from mlfrac.errors import DegenerateOrder, DomainError, MlfracError, SingularityError
+from mlfrac.expr import parse_expr, to_real_function
 from mlfrac.operators import (
     FracOrder,
     GridFunction,
@@ -63,14 +64,16 @@ class TestFracOrder:
     def test_kernel_rate(self):
         assert FracOrder(0.5).lam == -1.0
         assert math.isclose(FracOrder(0.75).lam, -3.0)
-        with pytest.raises(DegenerateOrder):
-            FracOrder(1.0).lam
+        for alpha in (1.0, 0.99):
+            with pytest.raises(DegenerateOrder, match="require alpha < 0.99"):
+                FracOrder(alpha).lam
 
     def test_kernel_order_cap(self):
         f = X
-        for op in (abc_derivative, abr_derivative):
-            with pytest.raises(DegenerateOrder):
-                op(Side.Left, f, FracOrder(0.99), 0.5)
+        for op in (abc_derivative, abr_derivative, abr_derivative_kernel_diff):
+            for t in (0.0, 0.5):  # the anchor too, where abc_derivative returns 0
+                with pytest.raises(DegenerateOrder):
+                    op(Side.Left, f, FracOrder(0.99), t)
 
 
 class TestGridFunction:
@@ -81,6 +84,10 @@ class TestGridFunction:
             GridFunction(0.0, 1.0, 4, np.array([0, 1, math.nan, 3, 4.0]))
         g = GridFunction(0.0, 1.0, 4, np.array([math.inf, 1, 2, 3, 4.0]), singular=(0,))
         assert g.singular == (0,)
+        # -1 would exempt the last sample from the finiteness check
+        for bad in ((7,), (5,), (-1,)):
+            with pytest.raises(DomainError, match="singular indices must lie in 0..4"):
+                GridFunction(0.0, 1.0, 4, np.arange(5.0), singular=bad)
         for a, b in ((0.0, math.inf), (-math.inf, 0.0), (math.nan, 1.0)):
             with pytest.raises(DomainError, match="finite a < b"):
                 GridFunction(a, b, 4, np.zeros(5))
@@ -92,6 +99,17 @@ class TestGridFunction:
         assert f(0.25) == 1.0
         assert math.isclose(f(0.375), 2.5)
         assert math.isclose(f.deriv(0.30), (4.0 - 1.0) / 0.25)
+
+    @pytest.mark.parametrize("n", [16, 37, 100, 800])
+    @pytest.mark.parametrize("a, b", [(0.0, 1.0), (-0.3, 1.7), (0.1, 1.0)])
+    def test_slope_at_a_node_is_the_right_cells(self, n, a, b):
+        # the cell fn interpolates in: the one to the right of each node, the
+        # last cell at b
+        grid = GridFunction(a, b, n, np.random.default_rng(n).normal(size=n + 1))
+        deriv = grid.to_real_function().deriv
+        rises = np.diff(grid.values) / np.diff(grid.ts)
+        got = np.array([deriv(t) for t in grid.ts.tolist()])
+        np.testing.assert_allclose(got, np.append(rises, rises[-1]), rtol=1e-12)
 
 
 class TestRlIntegral:
@@ -130,6 +148,11 @@ class TestAbIntegral:
     def test_alpha_one_rejected(self):
         with pytest.raises(DegenerateOrder):
             ab_integral(Side.Left, X, FracOrder(1.0), 0.5)
+
+    def test_overflowing_operand_is_a_domain_error(self):
+        f = to_real_function(parse_expr("exp(1000*x)"), 0.0, 1.0)
+        with pytest.raises(DomainError, match="overflows"):
+            ab_integral(Side.Left, f, HALF, 1.0)
 
     def test_alpha_near_one_is_plain_integral(self):
         # continuity toward the classical limit on a smooth function

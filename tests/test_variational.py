@@ -6,6 +6,7 @@ import pytest
 
 from mlfrac import variational
 from mlfrac.errors import DegenerateOrder, DivergenceError, DomainError
+from mlfrac.expr import parse_expr, to_real_function
 from mlfrac.identities import zero_mode
 from mlfrac.operators import (
     FracOrder,
@@ -42,6 +43,11 @@ class TestNaturalBc:
     def test_zero_l2(self):
         l2 = RealFunction(fn=lambda t: 0.0, a=0.0, b=1.0)
         assert natural_bc(l2, HALF, Side.Right) == (0.0, 0.0)
+
+    def test_order_at_the_cap_rejected(self):
+        l2 = RealFunction(fn=lambda t: t, a=0.0, b=1.0)
+        with pytest.raises(DegenerateOrder, match="require alpha < 0.99"):
+            natural_bc(l2, FracOrder(0.995), Side.Right)
 
     def test_anchor_endpoint_exact_zero(self):
         l2 = RealFunction(fn=lambda t: t * t + 1.0, a=0.0, b=1.0)
@@ -125,6 +131,15 @@ class TestElResidual:
         r = el_residual(lag, y, HALF, grid)
         assert len(r.singular) > 0
         assert all(math.isnan(r.values[i]) for i in r.singular)
+
+    def test_overflowing_l1_node_is_flagged(self):
+        l1 = to_real_function(parse_expr("exp(1000*x)"), 0.0, 1.0)
+        lag = LagrangianEval(l1=lambda y: l1, l2=zero_traj_fn, deriv_side=Side.Left)
+        y = RealFunction(fn=lambda t: t, a=0.0, b=1.0)
+        r = el_residual(lag, y, HALF, residual_grid(1.0, 9))
+        # exp overflows above t = 0.7098: the nodes 0.8, 0.9 and 1
+        assert r.singular == (7, 8, 9)
+        assert np.all(np.isfinite(r.values[:7])) and np.all(np.isnan(r.values[7:]))
 
 
 def dense_composed(ord_, b, n):
