@@ -195,15 +195,22 @@ class TestVerifyCommand:
         assert p.returncode == 1
         assert json.loads(p.stdout)["pass"] is False
 
+    def test_report_failed_on_an_exception_names_it(self):
+        p = mlfrac("verify", "--id", "caputo-rl", "--fn", "1/(x-0.5)")
+        assert p.returncode == 1
+        payload = json.loads(p.stdout)
+        assert payload["pass"] is False
+        # no placeholder value: both sides are null and the error says why
+        assert payload["lhs"] is None and payload["rhs"] is None
+        assert payload["error"].startswith("DomainError: division by zero")
+
     @pytest.mark.parametrize("argv, error", [
-        (("caputo-rl", "--fn", "1/(x-0.5)"), "DomainError: division by zero"),
         (("caputo-ibp", "--alpha", "1"), "DegenerateOrder: ML-kernel operators require alpha < 0.99"),
         (("ibp-integrals", "--fn", "exp(800*x)"), "DomainError: exp of"),
         (("diff-formula", "--mu", "10000", "--z", "2"), "OverflowError"),
         (("convolution", "--nu", "2000", "--x", "2"), "OverflowError"),
-    ], ids=["division-by-zero", "alpha-one", "expression-overflow", "diff-formula-overflow",
-            "convolution-overflow"])
-    def test_report_failed_on_an_exception_names_it(self, argv, error):
+    ], ids=["alpha-one", "expression-overflow", "diff-formula-overflow", "convolution-overflow"])
+    def test_report_failed_on_a_degenerate_order_or_overflow(self, argv, error):
         p = mlfrac("verify", "--id", *argv)
         assert p.returncode == 1, p.stderr
         payload = json.loads(p.stdout)
