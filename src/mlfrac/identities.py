@@ -202,7 +202,7 @@ def verify_caputo_ibp(
     kernel = MLParams(ord_.alpha, 1.0, 1.0)
     other = opposite(side)
     try:
-        lam, scale = ord_.lam, ord_.b_norm / (1.0 - ord_.alpha)
+        lam, scale = ord_.lam, ord_.scale
         lhs = _outer_integral(
             lambda t: abc_derivative(side, f, ord_, t, _INNER) * g.fn(t), side, ord_.alpha, a, b
         )
@@ -238,7 +238,7 @@ def verify_caputo_rl_relation(
     params["h"] = h
     anchor = side.anchor(f)
     try:
-        lam, scale = ord_.lam, ord_.b_norm / (1.0 - ord_.alpha)
+        lam, scale = ord_.lam, ord_.scale
         anchor_val = f.fn(anchor)
         ts = _interior_grid(a, b, 5)
         lhs = [abc_derivative(side, f, ord_, t, _TIGHT) for t in ts]

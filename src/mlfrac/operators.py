@@ -22,13 +22,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateOrder, DomainError, SingularityError
-from .quadrature import DEFAULT_QUAD, QuadConfig, RealFunction, power_quad, rl_weighted_quad
+from .quadrature import DEFAULT_QUAD, QuadConfig, RealFunction, central_diff, power_quad
 # unused here, but bench/tracing.py patches operators.adaptive_gl
 from .quadrature import adaptive_gl  # noqa: F401
 from .special import MLParams, ml_one, ml_value
 
-#: FracOrder.lam, and so every ML-kernel operator, rejects orders at or above
-#: this value: the kernel rate would push series arguments out of their domain.
+#: FracOrder.lam and .scale, so every ML-kernel operator, reject orders at or
+#: above this value: the kernel rate would push series arguments out of their domain.
 ALPHA_KERNEL_CAP = 0.99
 
 
@@ -65,14 +65,24 @@ class FracOrder:
         if not (0.0 < self.b_norm < math.inf):
             raise DomainError(f"normalization must be positive and finite, got {self.b_norm!r}")
 
-    @property
-    def lam(self) -> float:
-        """Kernel rate -alpha/(1-alpha); every ML-kernel operator's order gate."""
+    def _kernel_alpha(self) -> float:
+        """alpha, or DegenerateOrder at or above ALPHA_KERNEL_CAP."""
         if self.alpha >= ALPHA_KERNEL_CAP:
             raise DegenerateOrder(
                 f"ML-kernel operators require alpha < {ALPHA_KERNEL_CAP}, got {self.alpha:g}"
             )
-        return -self.alpha / (1.0 - self.alpha)
+        return self.alpha
+
+    @property
+    def lam(self) -> float:
+        """Kernel rate -alpha/(1-alpha); every ML-kernel operator's order gate."""
+        alpha = self._kernel_alpha()
+        return -alpha / (1.0 - alpha)
+
+    @property
+    def scale(self) -> float:
+        """Kernel scale B/(1-alpha) of the ML-kernel derivatives, gated as lam is."""
+        return self.b_norm / (1.0 - self._kernel_alpha())
 
     @property
     def ab_weights(self) -> tuple[float, float]:
@@ -104,8 +114,10 @@ class GridFunction:
         vals = np.asarray(self.values, dtype=float)
         if vals.shape != (self.n + 1,):
             raise DomainError(f"expected {self.n + 1} samples, got shape {vals.shape}")
-        if not all(0 <= i <= self.n for i in self.singular):
-            raise DomainError(f"singular indices must lie in 0..{self.n}, got {self.singular}")
+        if not all(isinstance(i, (int, np.integer)) and not isinstance(i, bool) and 0 <= i <= self.n
+                   for i in self.singular):
+            raise DomainError(
+                f"singular indices must lie in 0..{self.n} as integers, got {self.singular}")
         regular = np.ones(self.n + 1, dtype=bool)
         regular[list(self.singular)] = False
         if not np.all(np.isfinite(vals[regular])):
@@ -139,10 +151,12 @@ class GridFunction:
 def rl_integral(
     side: Side, f: RealFunction, ord_: FracOrder, t: float, cfg: QuadConfig | None = None
 ) -> float:
-    """Classical Riemann-Liouville fractional integral of order ord_.alpha."""
+    """Classical Riemann-Liouville integral of order a = ord_.alpha, (1/Gamma(a)) times the
+    integral of dist^(a-1) f from the anchor; power_quad removes the kernel singularity."""
     if not f.contains(t):
         raise DomainError(f"t={t!r} outside [{f.a!r}, {f.b!r}]")
-    return rl_weighted_quad(f, ord_.alpha, side.anchor(f), t, cfg)
+    a = ord_.alpha
+    return power_quad(f.fn, side.anchor(f), t, a, a, cfg) / math.gamma(a)
 
 
 def ab_integral(
@@ -163,7 +177,7 @@ def abr_derivative(
     cfg, shrink = cfg or DEFAULT_QUAD, max(1.0, abs(lam))
     inner = QuadConfig(cfg.abs_tol / shrink, cfg.rel_tol / shrink)
     p = gen_ml_integral(side, MLParams(alpha, alpha, 1.0), lam, f, t, inner)
-    return ord_.b_norm / (1.0 - alpha) * (f.fn(t) + lam * p)
+    return ord_.scale * (f.fn(t) + lam * p)
 
 
 def abc_derivative(
@@ -176,7 +190,7 @@ def abc_derivative(
         return 0.0
     rl_type = abr_derivative(side, f, ord_, t, cfg)
     kernel = ml_one(ord_.alpha, lam * abs(t - anchor) ** ord_.alpha)
-    return rl_type - ord_.b_norm / (1.0 - ord_.alpha) * f.fn(anchor) * kernel
+    return rl_type - ord_.scale * f.fn(anchor) * kernel
 
 
 def abr_derivative_kernel_diff(
@@ -199,9 +213,7 @@ def abr_derivative_kernel_diff(
     operand that is itself an operator output.  Needs f bounded (not
     differentiable), so it also covers integrable anchor singularities.
     """
-    lam = ord_.lam
-    alpha = ord_.alpha
-    scale = ord_.b_norm / (1.0 - alpha)
+    lam, alpha, scale = ord_.lam, ord_.alpha, ord_.scale
     if not (f.a + h <= t <= f.b - h):
         raise DomainError(f"need a+h <= t <= b-h for the d/dt step, got t={t!r}")
 
@@ -231,7 +243,7 @@ def rl_derivative(
         raise DomainError(f"rl_derivative requires alpha in (0, 1), got {alpha!r}")
     if not f.contains(t):
         raise DomainError(f"t={t!r} outside [{f.a!r}, {f.b!r}]")
-    fp = RealFunction(fn=f.deriv or f.prime, a=f.a, b=f.b)
+    fp = f.deriv or (lambda s: central_diff(f, s))
     gamma_c = math.gamma(1.0 - alpha)
     anchor = side.anchor(f)
     f_anchor = f.fn(anchor)
@@ -242,9 +254,8 @@ def rl_derivative(
                 f"t = {anchor!r} when f there is nonzero"
             )
         return 0.0
-    return f_anchor * abs(t - anchor) ** (-alpha) / gamma_c + side.sign * rl_weighted_quad(
-        fp, 1.0 - alpha, anchor, t, cfg
-    )
+    integral = power_quad(fp, anchor, t, 1.0 - alpha, 1.0 - alpha, cfg) / gamma_c
+    return f_anchor * abs(t - anchor) ** (-alpha) / gamma_c + side.sign * integral
 
 
 def q_reflect(f: RealFunction) -> RealFunction:

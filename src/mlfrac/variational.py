@@ -181,7 +181,7 @@ def fractional_velocity(grid: GridFunction, ord_: FracOrder) -> RealFunction:
         )
     w, c = exp_sum_kernel(alpha, lam)
     w_c = w / c
-    scale = ord_.b_norm / (1.0 - alpha)
+    scale = ord_.scale
     slopes = (np.diff(grid.values) / h).tolist()
     decay, ramp = np.exp(-c * h), w_c * -np.expm1(-c * h)
     hist = np.zeros((n + 1, len(w)))

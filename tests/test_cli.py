@@ -171,6 +171,15 @@ class TestGridCommands:
         assert p.returncode == 3 and p.stdout == ""
         assert "positive and finite" in p.stderr
 
+    def test_order_too_close_to_zero_is_numeric_error(self):
+        # unresolvable by the graded quadrature: unchecked, rl-left at 1e-4 would
+        # print 0.49999419934573014 at t = 0.5 against the true 0.4999442049252375
+        for cmd, op, alpha in (("integ", "rl-left", "1e-4"), ("integ", "rl-right", "1e-4"),
+                               ("integ", "ab-left", "1e-320"), ("deriv", "rl-left", "0.9999")):
+            p = mlfrac(cmd, "--op", op, "--alpha", alpha, "--fn", "x", "--grid", "3")
+            assert p.returncode == 3 and p.stdout == "", (cmd, op)
+            assert "grading power" in p.stderr and "Traceback" not in p.stderr
+
     def test_non_finite_literal_is_usage_error(self):
         p = mlfrac("integ", "--op", "ab-left", "--alpha", "0.5", "--fn", "1e999*x", "--grid", "3")
         assert p.returncode == 2

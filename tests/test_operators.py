@@ -67,6 +67,11 @@ class TestFracOrder:
         for alpha in (1.0, 0.99):
             with pytest.raises(DegenerateOrder, match="require alpha < 0.99"):
                 FracOrder(alpha).lam
+        assert FracOrder(0.5).scale == 2.0
+        assert FracOrder(0.75, 0.6).scale == 0.6 / 0.25
+        for alpha in (1.0, 0.99):
+            with pytest.raises(DegenerateOrder, match="require alpha < 0.99"):
+                FracOrder(alpha).scale
 
     def test_kernel_order_cap(self):
         f = X
@@ -85,9 +90,11 @@ class TestGridFunction:
         g = GridFunction(0.0, 1.0, 4, np.array([math.inf, 1, 2, 3, 4.0]), singular=(0,))
         assert g.singular == (0,)
         # -1 would exempt the last sample from the finiteness check
-        for bad in ((7,), (5,), (-1,)):
+        for bad in ((7,), (5,), (-1,), (1.5,), (True,), ("1",)):
             with pytest.raises(DomainError, match="singular indices must lie in 0..4"):
                 GridFunction(0.0, 1.0, 4, np.arange(5.0), singular=bad)
+        g = GridFunction(0.0, 1.0, 4, np.array([0, 1, math.inf, 3, 4.0]), singular=(np.int64(2),))
+        assert g.singular == (2,)
         for a, b in ((0.0, math.inf), (-math.inf, 0.0), (math.nan, 1.0)):
             with pytest.raises(DomainError, match="finite a < b"):
                 GridFunction(a, b, 4, np.zeros(5))
@@ -320,6 +327,47 @@ class TestRlDerivative:
         for t in (0.2, 0.7):
             want = math.gamma(3.0) * (1.0 - t) ** 1.5 / math.gamma(2.5)
             assert abs(rl_derivative(Side.Right, f, 0.5, t) - want) <= 1e-8
+
+
+class TestSmallOrders:
+    # power_quad's substitution d = w^p, p = 1/alpha here, resolves the
+    # operand only while p <= quadrature.GRADING_POWER_MAX
+
+    def test_orders_below_the_grading_cap_are_refused(self):
+        for alpha in (1e-4, 9.9e-4, 1e-320):
+            for op in (rl_integral, ab_integral, abr_derivative, abc_derivative):
+                for side in (Side.Left, Side.Right):
+                    with pytest.raises(DomainError, match="grading power"):
+                        op(side, X, FracOrder(alpha), 0.5)
+        for alpha in (0.9999, math.nextafter(1.0, 0.0)):
+            with pytest.raises(DomainError, match="grading power"):
+                rl_derivative(Side.Left, X, alpha, 0.5)
+
+    @pytest.mark.parametrize("alpha", [1e-3, 1.001e-3, 2e-3])
+    @pytest.mark.parametrize("side", [Side.Left, Side.Right])
+    @pytest.mark.parametrize("dist", [0.1, 0.5, 1.0])
+    def test_orders_just_above_the_cap_match_mpmath(self, alpha, side, dist):
+        # operand dist^1 from the anchor: x on the left, 1 - x on the right
+        f, t = (X, dist) if side is Side.Left else (ONE_MINUS_X, 1.0 - dist)
+        o = FracOrder(alpha)
+        with mpmath.workdps(30):
+            a, d, nu = mpmath.mpf(alpha), mpmath.mpf(dist), mpmath.mpf(1.0 - alpha)
+            rl = d ** (1 + a) / mpmath.gamma(2 + a)
+            want = {
+                "rl": rl,
+                "ab": (1 - a) * d + a * rl,
+                "kernel": d * _ml_mp(alpha, 2.0, float(-a / (1 - a) * d**a)) / (1 - a),
+                "rld": d ** (1 - nu) / mpmath.gamma(2 - nu),
+            }
+        got = {
+            "rl": rl_integral(side, f, o, t),
+            "ab": ab_integral(side, f, o, t),
+            "kernel": abr_derivative(side, f, o, t),
+            "rld": rl_derivative(side, f, 1.0 - alpha, t),
+        }
+        for name, value in got.items():
+            assert abs(value - float(want[name])) <= 1e-12, name
+        assert abc_derivative(side, f, o, t) == got["kernel"]  # f vanishes at the anchor
 
 
 class TestQReflect:

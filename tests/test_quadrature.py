@@ -7,13 +7,8 @@ import pytest
 
 from mlfrac import quadrature
 from mlfrac.errors import DepthExceeded, DomainError, NonFiniteIntegrand
-from mlfrac.quadrature import (
-    QuadConfig,
-    RealFunction,
-    adaptive_gl,
-    central_diff,
-    rl_weighted_quad,
-)
+from mlfrac.operators import FracOrder, Side, rl_integral
+from mlfrac.quadrature import QuadConfig, RealFunction, adaptive_gl, central_diff, power_quad
 
 GOLDEN = 1.0 / 12.0 + 8.0 / (105.0 * math.sqrt(math.pi))
 
@@ -100,9 +95,9 @@ def _rf(fn, a=0.0, b=1.0, deriv=None):
 
 def test_rl_constant_and_identity_cases():
     f1 = _rf(lambda s: 1.0)
-    got = rl_weighted_quad(f1, 0.5, 0.0, 1.0)
+    got = rl_integral(Side.Left, f1, FracOrder(0.5), 1.0)
     assert abs(got - 1.0 / math.gamma(1.5)) <= 1e-12
-    assert rl_weighted_quad(f1, 0.5, 0.0, 0.0) == 0.0
+    assert rl_integral(Side.Left, f1, FracOrder(0.5), 0.0) == 0.0
 
 
 def test_rl_linear_closed_form():
@@ -110,7 +105,7 @@ def test_rl_linear_closed_form():
     f = _rf(lambda s: s)
     for t in (0.25, 0.5, 1.0):
         want = math.gamma(2.0) * t**1.5 / math.gamma(2.5)
-        assert abs(rl_weighted_quad(f, 0.5, 0.0, t) - want) <= 1e-12
+        assert abs(rl_integral(Side.Left, f, FracOrder(0.5), t) - want) <= 1e-12
 
 
 def test_rl_monomial_rule_sweep():
@@ -120,14 +115,14 @@ def test_rl_monomial_rule_sweep():
             f = _rf(lambda s, beta=beta: (s - 0.0) ** beta)
             t = 0.8
             want = math.gamma(beta + 1.0) * t ** (alpha + beta) / math.gamma(alpha + beta + 1.0)
-            got = rl_weighted_quad(f, alpha, 0.0, t)
+            got = rl_integral(Side.Left, f, FracOrder(alpha), t)
             assert abs(got - want) <= 1e-9
 
 
 def test_rl_quadratic_derived_value():
     # power-rule oracle with beta = 2, alpha = 1/2 at t = 1
     want = math.gamma(3.0) / math.gamma(3.5)
-    got = rl_weighted_quad(_rf(lambda s: s * s), 0.5, 0.0, 1.0)
+    got = rl_integral(Side.Left, _rf(lambda s: s * s), FracOrder(0.5), 1.0)
     assert abs(got - want) <= 1e-10
 
 
@@ -137,8 +132,8 @@ def test_rl_right_mirror():
     f = _rf(lambda s: (b - s) ** beta)
     for t in (0.0, 0.3, 0.9):
         want = math.gamma(beta + 1.0) * (b - t) ** (alpha + beta) / math.gamma(alpha + beta + 1.0)
-        assert abs(rl_weighted_quad(f, alpha, b, t) - want) <= 1e-9
-    assert rl_weighted_quad(f, alpha, b, b) == 0.0
+        assert abs(rl_integral(Side.Right, f, FracOrder(alpha), t) - want) <= 1e-9
+    assert rl_integral(Side.Right, f, FracOrder(alpha), b) == 0.0
 
 
 def test_rl_substitution_vs_direct_singular_quadrature():
@@ -146,7 +141,7 @@ def test_rl_substitution_vs_direct_singular_quadrature():
     # tanh-sinh evaluation of the weakly singular integral
     alpha, t = 0.6, 0.9
     f = _rf(lambda s: math.sin(s) + 0.5 * s * s, a=0.0, b=1.0)
-    got = rl_weighted_quad(f, alpha, 0.0, t)
+    got = rl_integral(Side.Left, f, FracOrder(alpha), t)
     direct = float(
         mpmath.quad(
             lambda s: (t - s) ** (alpha - 1.0) * (mpmath.sin(s) + 0.5 * s * s),
@@ -159,19 +154,25 @@ def test_rl_substitution_vs_direct_singular_quadrature():
 
 def test_rl_domain_errors():
     f = _rf(lambda s: 1.0)
-    for anchor in (f.a, f.b):
+    for side in (Side.Left, Side.Right):
         with pytest.raises(DomainError):
-            rl_weighted_quad(f, 0.5, anchor, 1.5)
+            rl_integral(side, f, FracOrder(0.5), 1.5)
         with pytest.raises(DomainError):
-            rl_weighted_quad(f, 0.5, anchor, -0.5)
+            rl_integral(side, f, FracOrder(0.5), -0.5)
         with pytest.raises(DomainError):
-            rl_weighted_quad(f, -0.5, anchor, 0.5)
+            rl_integral(side, f, FracOrder(-0.5), 0.5)
         with pytest.raises(DomainError):
-            rl_weighted_quad(f, math.inf, anchor, 0.5)
-        assert rl_weighted_quad(f, 0.5, anchor, anchor) == 0.0
-    for anchor in (f.b + 0.5, f.a - 0.5):
-        with pytest.raises(DomainError):
-            rl_weighted_quad(f, 0.5, anchor, 0.5)
+            rl_integral(side, f, FracOrder(math.inf), 0.5)
+        anchor = side.anchor(f)
+        assert rl_integral(side, f, FracOrder(0.5), anchor) == 0.0
+
+
+def test_grading_power_above_the_cap_is_a_domain_error():
+    # a small rho, or a small mu that needs many multiples m of 1/rho
+    for mu, rho in ((1e-4, 1e-4), (1e-320, 1e-320), (1e-300, 0.5)):
+        with pytest.raises(DomainError, match="grading power"):
+            power_quad(lambda s: 1.0, 0.0, 1.0, mu, rho)
+    assert power_quad(lambda s: 1.0, 0.0, 1.0, 1e-3, 1e-3) == pytest.approx(1e3, rel=1e-12)
 
 
 def test_real_function_needs_a_finite_interval():

@@ -15,8 +15,9 @@ from mlfrac.operators import (
     ab_integral,
     abc_derivative,
     abr_derivative,
+    rl_integral,
 )
-from mlfrac.quadrature import QuadConfig, RealFunction, rl_weighted_quad
+from mlfrac.quadrature import QuadConfig, RealFunction
 from mlfrac.special import ml_value
 from mlfrac.variational import (
     LagrangianEval,
@@ -214,7 +215,7 @@ class TestWeightMatrix:
         interp = grid.to_real_function()
         got = rl_integral_on_grid(vals, 0.5, grid.h)
         for i in (4, 9, 16):
-            direct = rl_weighted_quad(interp, 0.5, 0.0, float(ts[i]))
+            direct = rl_integral(Side.Left, interp, FracOrder(0.5), float(ts[i]))
             assert abs(got[i] - direct) <= 1e-9
 
     def test_right_side_is_the_reversal(self):
