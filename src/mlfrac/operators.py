@@ -133,7 +133,8 @@ class GridFunction:
         return (self.b - self.a) / self.n
 
     def to_real_function(self, label: str = "") -> RealFunction:
-        """Linear interpolant, valued as ``np.interp``, with its piecewise-constant slope."""
+        """Linear interpolant, valued as ``np.interp``, with its piecewise-constant slope
+        and the interior nodes as breaks."""
         nodes, vals = self.ts.tolist(), self.values.tolist()
         rises = (np.diff(self.values) / np.diff(nodes)).tolist()
         n = self.n
@@ -145,7 +146,8 @@ class GridFunction:
         def deriv(t: float) -> float:  # fn's cell, so a node reads the slope on its right
             return rises[min(max(bisect_right(nodes, t) - 1, 0), n - 1)]
 
-        return RealFunction(fn=fn, a=self.a, b=self.b, deriv=deriv, label=label)
+        return RealFunction(fn=fn, a=self.a, b=self.b, deriv=deriv, label=label,
+                            breaks=tuple(nodes[1:-1]))
 
 
 def rl_integral(
@@ -156,7 +158,7 @@ def rl_integral(
     if not f.contains(t):
         raise DomainError(f"t={t!r} outside [{f.a!r}, {f.b!r}]")
     a = ord_.alpha
-    return power_quad(f.fn, side.anchor(f), t, a, a, cfg) / math.gamma(a)
+    return power_quad(f.fn, side.anchor(f), t, a, a, cfg, breaks=f.breaks) / math.gamma(a)
 
 
 def ab_integral(
@@ -221,10 +223,11 @@ def abr_derivative_kernel_diff(
 
     def kernel_integral(tau: float) -> float:
         mid = 0.5 * (anchor + tau)
-        near_tau = power_quad(f.fn, mid, tau, 1.0, alpha, cfg, lambda z: ml_one(alpha, lam * z))
+        near_tau = power_quad(f.fn, mid, tau, 1.0, alpha, cfg, lambda z: ml_one(alpha, lam * z),
+                              breaks=f.breaks)
         near_anchor = power_quad(
             lambda x: f.fn(x) * ml_one(alpha, lam * abs(tau - x) ** alpha),
-            mid, anchor, 1.0, alpha, cfg,
+            mid, anchor, 1.0, alpha, cfg, breaks=f.breaks,
         )
         return near_tau + near_anchor
 
@@ -254,19 +257,21 @@ def rl_derivative(
                 f"t = {anchor!r} when f there is nonzero"
             )
         return 0.0
-    integral = power_quad(fp, anchor, t, 1.0 - alpha, 1.0 - alpha, cfg) / gamma_c
+    integral = power_quad(fp, anchor, t, 1.0 - alpha, 1.0 - alpha, cfg, breaks=f.breaks) / gamma_c
     return f_anchor * abs(t - anchor) ** (-alpha) / gamma_c + side.sign * integral
 
 
 def q_reflect(f: RealFunction) -> RealFunction:
-    """Reflection (Qf)(t) = f(a+b-t) on the same interval."""
+    """Reflection (Qf)(t) = f(a+b-t) on the same interval; breaks map to a+b-x."""
     s = f.a + f.b
     deriv = None
     if f.deriv is not None:
         fd = f.deriv
         deriv = lambda t: -fd(s - t)
     label = f"Q[{f.label}]" if f.label else "Q[f]"
-    return RealFunction(fn=lambda t: f.fn(s - t), a=f.a, b=f.b, deriv=deriv, label=label)
+    breaks = tuple(s - x for x in reversed(f.breaks))
+    return RealFunction(fn=lambda t: f.fn(s - t), a=f.a, b=f.b, deriv=deriv, label=label,
+                        breaks=breaks)
 
 
 def gen_ml_integral(
@@ -286,5 +291,6 @@ def gen_ml_integral(
         raise DomainError(f"x={x!r} outside [{f.a!r}, {f.b!r}]")
     rho, mu, gp = p.rho, p.mu, p.gamma_p
     return power_quad(
-        f.fn, side.anchor(f), x, mu, rho, cfg, lambda z: ml_value(rho, mu, gp, omega * z)
+        f.fn, side.anchor(f), x, mu, rho, cfg, lambda z: ml_value(rho, mu, gp, omega * z),
+        breaks=f.breaks,
     )

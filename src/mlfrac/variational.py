@@ -161,8 +161,9 @@ def fractional_velocity(grid: GridFunction, ord_: FracOrder) -> RealFunction:
         value = (B/(1-alpha)) [sum H[i] + sum m G[i]],
         t-derivative = -(B/(1-alpha)) [sum C G[i] + sum m C G[i]].
 
-    Construction takes O(n M) time and n M memory; each evaluation is
-    O(M), one expm1 per term and no series call.  Raises
+    The value has a weak cusp after each node, so the interior nodes are
+    the function's breaks.  Construction takes O(n M) time and n M memory;
+    each evaluation is O(M), one expm1 per term and no series call.  Raises
     :class:`DegenerateOrder` for alpha >= ALPHA_KERNEL_CAP, and
     :class:`DomainError` for a grid with singular entries, for |lam|
     (b-a)^alpha > Z_MAX (the rule's domain), for orders below about 0.047
@@ -205,7 +206,8 @@ def fractional_velocity(grid: GridFunction, ord_: FracOrder) -> RealFunction:
         i, m = cell(t)
         return -scale * (gap_rates[i] + float(m @ (c * gaps[i])))
 
-    return RealFunction(fn=fn, a=a, b=b, deriv=deriv, label="ABC-D of interpolant")
+    return RealFunction(fn=fn, a=a, b=b, deriv=deriv, label="ABC-D of interpolant",
+                        breaks=tuple(nodes[1:-1]))
 
 
 def _lag_operator(n: int, alpha: float, h: float) -> Callable[[np.ndarray], np.ndarray]:
@@ -216,16 +218,20 @@ def _lag_operator(n: int, alpha: float, h: float) -> Callable[[np.ndarray], np.n
     kernel K[k] = q1[k] + q2[k+1], less the q2 term of node 0, which has no
     cell to its left.  K's spectrum is taken once, at the least power of two
     above 2n, so that no product wraps onto a kept node.  The right integral
-    is the left one of the reversed samples, reversed.
+    is the left one of the reversed samples, reversed.  Raises DomainError
+    when the moments overflow (a step h near the float range).
     """
     x = np.arange(0, n + 2, dtype=float) * h
-    dp = np.diff(x**alpha) / alpha
-    dp1 = np.diff(x ** (alpha + 1.0)) / (alpha + 1.0)
-    norm = math.gamma(alpha) * h
-    q1 = np.concatenate(([0.0], dp1[:-1] - x[:-2] * dp[:-1])) / norm
-    q2 = (x[1:] * dp - dp1) / norm  # q2[k+1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        dp = np.diff(x**alpha) / alpha
+        dp1 = np.diff(x ** (alpha + 1.0)) / (alpha + 1.0)
+        norm = math.gamma(alpha) * h
+        q1 = np.concatenate(([0.0], dp1[:-1] - x[:-2] * dp[:-1])) / norm
+        q2 = (x[1:] * dp - dp1) / norm  # q2[k+1]
     size = 1 << (2 * n).bit_length()
     spectrum = np.fft.rfft(q1 + q2, size)
+    if not np.all(np.isfinite(spectrum)):
+        raise DomainError(f"lag kernel of order {alpha:g} at step h={h:g} is not finite")
 
     def apply(values: np.ndarray) -> np.ndarray:
         lagged = np.fft.irfft(np.fft.rfft(values, size) * spectrum, size)[: n + 1] - values[0] * q2
@@ -258,9 +264,11 @@ def solve_quadratic_potential(
     Iterates live on the uniform grid; each AB integral of the linear
     interpolant is applied exactly as w0 y + w1 RL(y), the RL part one FFT lag
     convolution.  Divergence is detected at run time (five consecutive
-    growing steps, or the iteration budget).  The reported contraction bound
-    is |c| K, with K the infinity-norm of the composed operator: its entries
-    are non-negative, so K is its largest row sum, the image of all-ones.
+    growing steps, a change that is not finite, or the iteration budget).
+    The reported contraction bound is |c| K, with K the infinity-norm of the
+    composed operator: its entries are non-negative, so K is its largest row
+    sum, the image of all-ones.  A lag kernel or bound that is not finite
+    raises DomainError before the first iteration.
     """
     w0, w1 = ord_.ab_weights
     if not (0.0 < b < math.inf and math.isfinite(c) and math.isfinite(y0)):
@@ -276,33 +284,43 @@ def solve_quadratic_potential(
         right = w0 * y + w1 * rl(y[::-1])[::-1]
         return w0 * right + w1 * rl(right)
 
-    bound = abs(c) * float(np.max(composed(np.ones(n + 1))))
-
     base = np.full(n + 1, float(y0))
     y = base.copy()
     changes: list[float] = []
     grow_run = 0
-    for _ in range(cfg.fp_max_iter):
-        y_next = base + c * composed(y)
-        change = float(np.max(np.abs(y_next - y)))
-        if changes and change > changes[-1]:
-            grow_run += 1
-            if grow_run >= 5:
+    with np.errstate(over="ignore", invalid="ignore"):
+        bound = abs(c) * float(np.max(composed(np.ones(n + 1))))
+        if not math.isfinite(bound):
+            raise DomainError(
+                f"contraction bound |c| K is not finite for c={c!r}, b={b!r}, "
+                f"B={ord_.b_norm!r} on {n} cells"
+            )
+        for _ in range(cfg.fp_max_iter):
+            y_next = base + c * composed(y)
+            change = float(np.max(np.abs(y_next - y)))
+            if not math.isfinite(change):
                 raise DivergenceError(
-                    f"sup-norm change grew for 5 consecutive iterations "
+                    f"sup-norm change is not finite at iteration {len(changes) + 1} "
                     f"(contraction bound |c| K = {bound:.3g})"
                 )
+            if changes and change > changes[-1]:
+                grow_run += 1
+                if grow_run >= 5:
+                    raise DivergenceError(
+                        f"sup-norm change grew for 5 consecutive iterations "
+                        f"(contraction bound |c| K = {bound:.3g})"
+                    )
+            else:
+                grow_run = 0
+            changes.append(change)
+            y = y_next
+            if change <= cfg.fp_tol:
+                break
         else:
-            grow_run = 0
-        changes.append(change)
-        y = y_next
-        if change <= cfg.fp_tol:
-            break
-    else:
-        raise DivergenceError(
-            f"no convergence within {cfg.fp_max_iter} iterations "
-            f"(last change {changes[-1]:.3g}, contraction bound {bound:.3g})"
-        )
+            raise DivergenceError(
+                f"no convergence within {cfg.fp_max_iter} iterations "
+                f"(last change {changes[-1]:.3g}, contraction bound {bound:.3g})"
+            )
     ratios = [c2 / c1 for c1, c2 in zip(changes, changes[1:]) if c1 > 0.0]
     q = max(ratios) if ratios else None
     residual = float(np.max(np.abs(y - base - c * composed(y))))

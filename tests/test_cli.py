@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from collections import namedtuple
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -304,6 +305,22 @@ class TestSolveCommand:
             p = mlfrac("solve-el", "--problem", problem, "--alpha", "0.5", flag, value, "--grid-n", "8")
             assert p.returncode == 3
             assert "finite" in p.stderr and p.stdout == ""
+
+
+    def test_overflowing_set_up_exits_at_once_without_warnings(self):
+        # b = 1e300 overflows the lag kernel's moments and B = 1e-300 the
+        # weights, so the contraction bound; at b = 1e150 the set-up is finite
+        # but the third iterate overflows.  None of them may print a numpy
+        # warning or iterate on NaN to the budget.
+        cases = (("--b", "1e300"), ("--b", "1", "--B", "1e-300"), ("--b", "1e150"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            runs = [mlfrac("solve-el", "--problem", "quadratic", "--alpha", "0.5", "--y0", "1",
+                           "--c", "-0.4", "--grid-n", "8", *extra) for extra in cases]
+        assert [p.returncode for p in runs] == [3, 3, 3]
+        assert all(p.stdout == "" and "not finite" in p.stderr for p in runs)
+        assert "lag kernel" in runs[0].stderr and "contraction bound" in runs[1].stderr
+        assert "iteration 3" in runs[2].stderr
 
 
 def _reject_constant(name):

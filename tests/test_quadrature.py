@@ -200,3 +200,32 @@ def test_central_diff_agrees_with_analytic():
                      deriv=lambda x: math.exp(0.5 * x) * (0.5 * math.sin(x) + math.cos(x)))
     for t in (0.1, 0.7, 1.3, 1.9):
         assert abs(central_diff(f, t) - f.deriv(t)) <= 1e-7
+
+
+def test_power_quad_integrates_piece_by_piece_between_breaks(monkeypatch):
+    # |s - 0.3| against (1 - s)^(-1/2) from the anchor 0 to t = 1: the kink at
+    # s = 0.3 is one break, so two adaptive calls integrate polynomials in w
+    f = lambda s: abs(s - 0.3)
+    r = math.sqrt(0.7)
+    exact = (0.7 * 2.0 * r - 2.0 / 3.0 * r**3) + (2.0 / 3.0 - 1.4) - (2.0 / 3.0 * r**3 - 1.4 * r)
+    calls = []
+    real = quadrature.adaptive_gl
+    monkeypatch.setattr(quadrature, "adaptive_gl", lambda *a: calls.append(a[1:]) or real(*a))
+    got = power_quad(f, 0.0, 1.0, 0.5, 0.5, breaks=(0.3,))
+    assert abs(got - exact) <= 1e-15
+    # each piece gets half the absolute tolerance and the unchanged relative one
+    assert [(lo, hi, cfg.abs_tol, cfg.rel_tol) for lo, hi, cfg in calls] == [
+        (0.0, math.sqrt(0.7), 5e-11, 1e-10), (math.sqrt(0.7), 1.0, 5e-11, 1e-10)]
+
+
+def test_power_quad_without_an_interior_break_is_one_call(monkeypatch):
+    # breaks at or outside the range's ends leave the single adaptive call,
+    # and its value, exactly as with no breaks at all
+    f = lambda s: abs(s - 0.3)
+    calls = []
+    real = quadrature.adaptive_gl
+    monkeypatch.setattr(quadrature, "adaptive_gl", lambda *a: calls.append(a) or real(*a))
+    for anchor, breaks in ((0.0, (0.0, 1.0)), (0.0, (-2.0, 1.5)), (0.3, (0.3,))):
+        with_breaks = power_quad(f, anchor, 1.0, 0.5, 0.5, breaks=breaks)
+        assert with_breaks == power_quad(f, anchor, 1.0, 0.5, 0.5)
+    assert len(calls) == 6

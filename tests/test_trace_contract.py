@@ -9,6 +9,7 @@ value stays right.  The exact counts below pin that contract.
 """
 
 import contextlib
+import dataclasses
 import importlib.util
 import io
 import sys
@@ -82,16 +83,33 @@ def test_caputo_rl_check_counts_every_graded_half():
     assert c.special_calls == c.quad_evals + 10
 
 
-def test_picard_interpolant_keeps_the_panel_decisions():
-    # the grid interpolant's values equal np.interp's to the bit; this is the
-    # count np.interp's values give, so an interpolant that rounds otherwise
-    # shows here as moved panel decisions
+def _picard_interpolant():
     half = FracOrder(0.5)
     grid = solve_quadratic_potential(half, 0.1, 1.0, 1.0, SolverConfig(grid_n=16)).grid
-    interp = grid.to_real_function()
+    return half, grid.to_real_function()
+
+
+def _traced_right_ab_integral(f, ord_):
     tracer = Tracer()
     try:
-        operators.ab_integral(Side.Right, interp, half, 0.0)
+        operators.ab_integral(Side.Right, f, ord_, 0.0)
     finally:
         tracer.close()
-    assert (tracer.counts.quad_calls, tracer.counts.quad_evals) == (1, 2445)
+    return tracer.counts.quad_calls, tracer.counts.quad_evals
+
+
+def test_picard_interpolant_keeps_the_panel_decisions():
+    # the grid interpolant's values equal np.interp's to the bit; this is the
+    # count np.interp's values give over the whole range in one adaptive
+    # call, so an interpolant that rounds otherwise shows here as moved panel
+    # decisions.  Without its breakpoints the interpolant takes that path.
+    half, interp = _picard_interpolant()
+    assert _traced_right_ab_integral(dataclasses.replace(interp, breaks=()), half) == (1, 2445)
+
+
+def test_picard_interpolant_is_integrated_cell_by_cell():
+    # with its 15 interior nodes as breakpoints, each of the 16 linear cells
+    # is one adaptive call that one G7/K15 panel integrates exactly
+    half, interp = _picard_interpolant()
+    assert len(interp.breaks) == 15
+    assert _traced_right_ab_integral(interp, half) == (16, 240)

@@ -15,6 +15,7 @@ from mlfrac.operators import (
     ab_integral,
     abc_derivative,
     abr_derivative,
+    q_reflect,
     rl_integral,
 )
 from mlfrac.quadrature import QuadConfig, RealFunction
@@ -207,16 +208,42 @@ class TestWeightMatrix:
 
     def test_matches_quadrature_of_interpolant(self):
         # dual route: lag convolution against the adaptive substitution path,
-        # both applied to the same piecewise-linear function
+        # both applied to the same piecewise-linear function.  The interpolant
+        # carries its nodes as breakpoints, so power_quad integrates each
+        # linear cell on its own and meets the product-integration weights to
+        # rounding: left, right, and the right side of the reflection, whose
+        # breakpoints are 1 - x.  With the cells merged into one adaptive range
+        # these samples were up to 7.2e-7 off at alpha = 0.9, at the default
+        # 1e-10 target and with no flag raised.
         n = 16
         ts = np.linspace(0.0, 1.0, n + 1)
-        vals = np.sin(2.0 * ts) + ts**2
-        grid = GridFunction(0.0, 1.0, n, vals)
-        interp = grid.to_real_function()
-        got = rl_integral_on_grid(vals, 0.5, grid.h)
-        for i in (4, 9, 16):
-            direct = rl_integral(Side.Left, interp, FracOrder(0.5), float(ts[i]))
-            assert abs(got[i] - direct) <= 1e-9
+        vals = np.sin(5.0 * ts) + 0.3 * (-1.0) ** np.arange(n + 1)
+        interp = GridFunction(0.0, 1.0, n, vals).to_real_function()
+        mirror = q_reflect(interp)
+        for alpha in (0.25, 0.5, 0.7, 0.9):
+            ord_ = FracOrder(alpha)
+            left = rl_integral_on_grid(vals, alpha, 1.0 / n)
+            right = rl_integral_on_grid(vals[::-1], alpha, 1.0 / n)[::-1]
+            for i, t in enumerate(ts.tolist()):
+                assert abs(rl_integral(Side.Left, interp, ord_, t) - left[i]) <= 1e-14
+                assert abs(rl_integral(Side.Right, interp, ord_, t) - right[i]) <= 1e-14
+                assert abs(rl_integral(Side.Right, mirror, ord_, 1.0 - t) - left[i]) <= 1e-14
+
+    def test_quadrature_of_interpolant_on_2000_cells(self):
+        # one adaptive range over all 2,000 kinks ran out of its 4,000 panels
+        # (DepthExceeded); cell by cell the quadrature is exact.  Against a
+        # 30-digit product-integration sum at these nodes the quadrature is
+        # 1.5e-15 off and the FFT reference 2.9e-12, which sets the tolerance.
+        n, alpha = 2000, 0.9
+        ts = np.linspace(0.0, 1.0, n + 1)
+        vals = np.sin(5.0 * ts) + 0.3 * (-1.0) ** np.arange(n + 1)
+        interp = GridFunction(0.0, 1.0, n, vals).to_real_function()
+        ord_ = FracOrder(alpha)
+        left = rl_integral_on_grid(vals, alpha, 1.0 / n)
+        right = rl_integral_on_grid(vals[::-1], alpha, 1.0 / n)[::-1]
+        for i in (1, 777, n):
+            assert abs(rl_integral(Side.Left, interp, ord_, float(ts[i])) - left[i]) <= 1e-11
+            assert abs(rl_integral(Side.Right, interp, ord_, float(ts[n - i])) - right[n - i]) <= 1e-11
 
     def test_right_side_is_the_reversal(self):
         # the right RL integral is ab_integral(Side.Right) less its w0 f term
