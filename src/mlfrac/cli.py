@@ -45,18 +45,21 @@ from .variational import SolverConfig, solve_free_particle, solve_quadratic_pote
 
 INTEG_OPS = ("ab-left", "ab-right", "rl-left", "rl-right")
 DERIV_OPS = ("abc-left", "abc-right", "abr-left", "abr-right", "rl-left", "rl-right")
-VERIFY_IDS = (
-    "ibp-integrals",
-    "ibp-derivatives",
-    "caputo-ibp",
-    "caputo-rl",
-    "inverse-fundamental",
-    "convolution",
-    "diff-formula",
-)
-
-IBP_G_TEXT = "x/2 + 2*x^(3/2)/(3*sqrt(pi))"
-IBP_F_TEXT = "(1-x)/2 + 2*(1-x)^(3/2)/(3*sqrt(pi))"
+#: verify --id: (check, default texts of its --fn/--fn2 operands, the flags
+#: passed after the operands); "ord" is --alpha with --B
+CHECKS = {
+    "ibp-integrals": (verify_ibp_integrals, ("1-x", "x"), ("ord",)),
+    "ibp-derivatives": (
+        verify_ibp_derivatives,
+        ("(1-x)/2 + 2*(1-x)^(3/2)/(3*sqrt(pi))", "x/2 + 2*x^(3/2)/(3*sqrt(pi))"),
+        ("ord",),
+    ),
+    "caputo-ibp": (verify_caputo_ibp, ("x", "1-x"), ("ord", "side")),
+    "caputo-rl": (verify_caputo_rl_relation, ("x",), ("ord", "side")),
+    "inverse-fundamental": (verify_inverse_and_fundamental, ("x",), ("ord", "side")),
+    "convolution": (verify_convolution, (), ("sigma", "nu", "alpha", "lam", "x")),
+    "diff-formula": (verify_diff_formula, (), ("gamma_p", "mu", "alpha", "lam", "z")),
+}
 
 
 def _integer(flag: str, text: str) -> int:
@@ -138,7 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(deriv, DERIV_OPS)
 
     verify = sub.add_parser("verify", help="run identity checks; nonzero exit on failure")
-    verify.add_argument("--id", choices=VERIFY_IDS, default=None)
+    verify.add_argument("--id", choices=CHECKS, default=None)
     verify.add_argument("--alpha", type=float, default=0.5)
     verify.add_argument("--B", type=float, default=1.0, dest="b_norm")
     verify.add_argument("--interval", type=_parse_interval, default=(0.0, 1.0))
@@ -277,29 +280,15 @@ def _run_grid_command(args: argparse.Namespace) -> int:
 
 
 def _verify_reports(args: argparse.Namespace) -> list:
-    ord_ = FracOrder(args.alpha, args.b_norm)
-    a, b = args.interval
-    tol = args.tol
     side = Side.Left if args.side == "left" else Side.Right
-
-    def fn_or(default_text: str, text: str | None):
-        return to_real_function(parse_expr(text or default_text), a, b)
-
+    flags = vars(args) | {"ord": FracOrder(args.alpha, args.b_norm), "side": side}
     if args.id is None:
-        return run_default_suite(tol)
-    if args.id == "ibp-integrals":
-        return [verify_ibp_integrals(fn_or("1-x", args.fn), fn_or("x", args.fn2), ord_, tol)]
-    if args.id == "ibp-derivatives":
-        return [verify_ibp_derivatives(fn_or(IBP_F_TEXT, args.fn), fn_or(IBP_G_TEXT, args.fn2), ord_, tol)]
-    if args.id == "caputo-ibp":
-        return [verify_caputo_ibp(fn_or("x", args.fn), fn_or("1-x", args.fn2), ord_, side, tol)]
-    if args.id == "caputo-rl":
-        return [verify_caputo_rl_relation(fn_or("x", args.fn), ord_, side, tol)]
-    if args.id == "inverse-fundamental":
-        return [verify_inverse_and_fundamental(fn_or("x", args.fn), ord_, side, tol)]
-    if args.id == "convolution":
-        return [verify_convolution(args.sigma, args.nu, args.alpha, args.lam, args.x, tol)]
-    return [verify_diff_formula(args.gamma_p, args.mu, args.alpha, args.lam, args.z, tol)]
+        return run_default_suite(args.tol)
+    check, texts, after = CHECKS[args.id]
+    a, b = args.interval
+    fns = [to_real_function(parse_expr(t or default), a, b) for t, default in zip((args.fn, args.fn2), texts)]
+    operands = [*fns, *(flags[name] for name in after)]
+    return [check(*operands) if args.tol is None else check(*operands, tol=args.tol)]
 
 
 def _run_verify(args: argparse.Namespace) -> int:

@@ -6,7 +6,8 @@ sin cos exp ln sqrt abs gamma, and the constants pi and e.  Parsed
 expressions evaluate to floats and differentiate symbolically; the seven
 function heads are closed under differentiation except gamma (its
 derivative needs the digamma function, which the grammar cannot express),
-so rl_derivative, the one operator reading f', differentiates those numerically.
+so rl_derivative, the one operator reading f', takes fourth-order finite
+differences of those.
 
 :func:`to_real_function` compiles an expression, and its derivative at
 the derivative's first call, once each, to straight-line Python code with

@@ -2,9 +2,11 @@
 
 Every ``verify_*`` function computes the two sides of one identity through
 disjoint code paths (different operators, an extra numerical d/dt, or a
-direct series evaluation) so that a shared bug cannot certify itself, and
-returns an :class:`IdentityReport` instead of raising: numeric failures are
-recorded in the report.
+direct series evaluation) so that a shared bug cannot certify itself.  It
+hands a closure of its two sides to :func:`_report`, the one runner, which
+returns an :class:`IdentityReport` instead of raising: a side that raises
+MlfracError or OverflowError gives a failed report, both sides NaN, that
+names the error.  Argument checks made before any side is computed raise.
 
 The outer integrals of u * Op(v) know where their integrand is singular:
 Op(v) behaves like dist^alpha at Op's anchor.  They integrate through the
@@ -65,18 +67,14 @@ class IdentityReport:
     passed: bool = field(init=False)
 
     def __post_init__(self) -> None:
-        lhs = np.atleast_1d(np.asarray(self.lhs, dtype=float))
-        rhs = np.atleast_1d(np.asarray(self.rhs, dtype=float))
+        lhs, rhs = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (self.lhs, self.rhs))
         if lhs.shape != rhs.shape:
             raise DomainError(f"side shapes differ: {lhs.shape} vs {rhs.shape}")
-        object.__setattr__(self, "lhs", lhs)
-        object.__setattr__(self, "rhs", rhs)
-        gaps = np.abs(lhs - rhs)
-        err = float(np.max(gaps)) if gaps.size else math.inf
-        if not np.all(np.isfinite(lhs)) or not np.all(np.isfinite(rhs)):
-            err = math.inf
-        object.__setattr__(self, "abs_err", err)
-        # a failed side makes err infinite, which no tolerance may pass
+        # an empty or failed side makes err infinite, which no tolerance may pass
+        finite = lhs.size and np.isfinite(lhs).all() and np.isfinite(rhs).all()
+        err = float(np.max(np.abs(lhs - rhs))) if finite else math.inf
+        for name, value in (("lhs", lhs), ("rhs", rhs), ("abs_err", err)):
+            object.__setattr__(self, name, value)
         object.__setattr__(self, "passed", bool(math.isfinite(err) and err <= self.tol))
 
     def to_json_dict(self) -> dict:
@@ -95,16 +93,22 @@ class IdentityReport:
         } | ({"error": self.params["error"]} if "error" in self.params else {})
 
 
-def _failed_report(name: str, params: dict, tol: float, exc: Exception) -> IdentityReport:
-    params = dict(params)
-    params["error"] = f"{type(exc).__name__}: {exc}"
-    return IdentityReport(name, params, np.array([math.nan]), np.array([math.nan]), tol)
+def _report(name: str, params: dict, tol: float, sides: Callable[[], tuple]) -> IdentityReport:
+    """The report of one check: ``sides()`` gives its (lhs, rhs).  A side that
+    raises MlfracError or OverflowError gives a failed report instead, with
+    both sides NaN and the error named in ``params["error"]``."""
+    try:
+        lhs, rhs = sides()
+    except (MlfracError, OverflowError) as exc:
+        params = params | {"error": f"{type(exc).__name__}: {exc}"}
+        lhs = rhs = math.nan
+    return IdentityReport(name, params, lhs, rhs, tol)
 
 
 def _base_params(ord_: FracOrder, a: float, b: float, **labels: str) -> dict:
-    p: dict = {"alpha": ord_.alpha, "B": ord_.b_norm, "interval": (a, b)}
-    p.update({k: v for k, v in labels.items() if v})
-    return p
+    """Order, interval and the nonempty ``labels`` (operand labels, side)."""
+    labels = {k: v for k, v in labels.items() if v}
+    return {"alpha": ord_.alpha, "B": ord_.b_norm, "interval": (a, b)} | labels
 
 
 def _outer_integral(fn: Callable[[float], float], side: Side, alpha: float, a: float, b: float) -> float:
@@ -131,44 +135,36 @@ def verify_ibp_integrals(
     phi: RealFunction,
     psi: RealFunction,
     ord_: FracOrder,
-    tol: float | None = None,
+    tol: float = DEFAULT_TOL,
 ) -> IdentityReport:
     """Both displays of the integral integration-by-parts theorem.
 
     First pair:  int phi (AB-I_left psi)  against  int psi (AB-I_right phi);
     second pair swaps the operator sides.
     """
-    tol = DEFAULT_TOL if tol is None else tol
     a, b = phi.a, phi.b
-    params = _base_params(ord_, a, b, phi=phi.label, psi=psi.label)
 
     def outer(u: RealFunction, v: RealFunction, side: Side) -> float:
         return _outer_integral(
             lambda x: u.fn(x) * ab_integral(side, v, ord_, x, _INNER), side, ord_.alpha, a, b
         )
 
-    lhs: list[float] = []
-    rhs: list[float] = []
-    try:
-        for side in (Side.Left, Side.Right):
-            lhs.append(outer(phi, psi, side))
-            rhs.append(outer(psi, phi, opposite(side)))
-    except MlfracError as exc:
-        return _failed_report("ibp-integrals", params, tol, exc)
-    return IdentityReport("ibp-integrals", params, np.array(lhs), np.array(rhs), tol)
+    def sides():
+        return zip(*[(outer(phi, psi, s), outer(psi, phi, opposite(s))) for s in (Side.Left, Side.Right)])
+
+    return _report("ibp-integrals", _base_params(ord_, a, b, phi=phi.label, psi=psi.label), tol, sides)
 
 
 def verify_ibp_derivatives(
     f: RealFunction,
     g: RealFunction,
     ord_: FracOrder,
-    tol: float | None = None,
+    tol: float = DEFAULT_TOL,
 ) -> IdentityReport:
     """int f (ABR-left g) against int (ABR-right f) g."""
-    tol = DEFAULT_TOL if tol is None else tol
     a, b = f.a, f.b
-    params = _base_params(ord_, a, b, f=f.label, g=g.label)
-    try:
+
+    def sides():
         lhs = _outer_integral(
             lambda x: f.fn(x) * abr_derivative(Side.Left, g, ord_, x, _INNER),
             Side.Left, ord_.alpha, a, b,
@@ -177,9 +173,9 @@ def verify_ibp_derivatives(
             lambda x: abr_derivative(Side.Right, f, ord_, x, _INNER) * g.fn(x),
             Side.Right, ord_.alpha, a, b,
         )
-    except MlfracError as exc:
-        return _failed_report("ibp-derivatives", params, tol, exc)
-    return IdentityReport("ibp-derivatives", params, np.array([lhs]), np.array([rhs]), tol)
+        return lhs, rhs
+
+    return _report("ibp-derivatives", _base_params(ord_, a, b, f=f.label, g=g.label), tol, sides)
 
 
 def verify_caputo_ibp(
@@ -187,7 +183,7 @@ def verify_caputo_ibp(
     g: RealFunction,
     ord_: FracOrder,
     side: Side = Side.Left,
-    tol: float | None = None,
+    tol: float = DEFAULT_TOL,
 ) -> IdentityReport:
     """Integration by parts for the Caputo-type derivative anchored at 0.
 
@@ -195,13 +191,11 @@ def verify_caputo_ibp(
     right ML integral operator Eg and s = B/(1-alpha); the Right version
     mirrors with the left operator and a minus sign on the boundary part.
     """
-    tol = DEFAULT_TOL if tol is None else tol
     a, b = f.a, f.b
-    params = _base_params(ord_, a, b, f=f.label, g=g.label)
-    params["side"] = side.name
     kernel = MLParams(ord_.alpha, 1.0, 1.0)
     other = opposite(side)
-    try:
+
+    def sides():
         lam, scale = ord_.lam, ord_.scale
         lhs = _outer_integral(
             lambda t: abc_derivative(side, f, ord_, t, _INNER) * g.fn(t), side, ord_.alpha, a, b
@@ -211,17 +205,16 @@ def verify_caputo_ibp(
         )
         eg = lambda t: gen_ml_integral(other, kernel, lam, g, t, _INNER)
         boundary = f.fn(b) * eg(b) - f.fn(a) * eg(a)
-        rhs = integral + side.sign * scale * boundary
-    except MlfracError as exc:
-        return _failed_report("caputo-ibp", params, tol, exc)
-    return IdentityReport("caputo-ibp", params, np.array([lhs]), np.array([rhs]), tol)
+        return lhs, integral + side.sign * scale * boundary
+
+    return _report("caputo-ibp", _base_params(ord_, a, b, f=f.label, g=g.label, side=side.name), tol, sides)
 
 
 def verify_caputo_rl_relation(
     f: RealFunction,
     ord_: FracOrder,
     side: Side = Side.Left,
-    tol: float | None = None,
+    tol: float = DEFAULT_TOL,
     h: float = 5e-4,
 ) -> IdentityReport:
     """Caputo-type equals RL-type minus the anchor boundary term.
@@ -231,67 +224,50 @@ def verify_caputo_rl_relation(
     RL-type derivative independently by differentiating the kernel integral
     with a central difference of step h.
     """
-    tol = DEFAULT_TOL if tol is None else tol
     a, b = f.a, f.b
-    params = _base_params(ord_, a, b, f=f.label)
-    params["side"] = side.name
-    params["h"] = h
     anchor = side.anchor(f)
-    try:
+
+    def sides():
         lam, scale = ord_.lam, ord_.scale
         anchor_val = f.fn(anchor)
         ts = _interior_grid(a, b, 5)
         lhs = [abc_derivative(side, f, ord_, t, _TIGHT) for t in ts]
-        rhs = []
-        for t in ts:
-            abr_indep = abr_derivative_kernel_diff(side, f, ord_, t, _TIGHT, h=h)
-            dist = abs(t - anchor)
-            rhs.append(abr_indep - scale * anchor_val * ml_one(ord_.alpha, lam * dist**ord_.alpha))
-    except MlfracError as exc:
-        return _failed_report("caputo-rl-relation", params, tol, exc)
-    return IdentityReport("caputo-rl-relation", params, np.array(lhs), np.array(rhs), tol)
+        rhs = [
+            abr_derivative_kernel_diff(side, f, ord_, t, _TIGHT, h=h)
+            - scale * anchor_val * ml_one(ord_.alpha, lam * abs(t - anchor) ** ord_.alpha)
+            for t in ts
+        ]
+        return lhs, rhs
+
+    params = _base_params(ord_, a, b, f=f.label, side=side.name) | {"h": h}
+    return _report("caputo-rl-relation", params, tol, sides)
 
 
 def verify_inverse_and_fundamental(
     f: RealFunction,
     ord_: FracOrder,
     side: Side = Side.Left,
-    tol: float | None = None,
+    tol: float = DEFAULT_TOL,
 ) -> IdentityReport:
     """Three compositions: D(I f) = f, I(D f) = f, I(Caputo-D f) = f - f(anchor).
 
     The first composition takes the RL-type derivative by the independent
     d/dt path, so D.I and I.D share no derivative code.
     """
-    tol = DEFAULT_TOL if tol is None else tol
     a, b = f.a, f.b
-    params = _base_params(ord_, a, b, f=f.label)
-    params["side"] = side.name
-    params["compositions"] = ("D.I", "I.D", "I.Dc")
-    try:
+
+    def sides():
         anchor_val = f.fn(side.anchor(f))
         ts = _interior_grid(a, b, 4, margin=0.15)
-        abi_f = RealFunction(
-            fn=lambda x: ab_integral(side, f, ord_, x, _INNER), a=a, b=b
-        )
-        comp1 = [abr_derivative_kernel_diff(side, abi_f, ord_, t, _INNER, h=2.5e-4) for t in ts]
-
-        abr_f = RealFunction(
-            fn=lambda x: abr_derivative(side, f, ord_, x, _INNER), a=a, b=b
-        )
-        comp2 = [ab_integral(side, abr_f, ord_, t, _OUTER) for t in ts]
-
-        abc_f = RealFunction(
-            fn=lambda x: abc_derivative(side, f, ord_, x, _INNER), a=a, b=b
-        )
-        comp3 = [ab_integral(side, abc_f, ord_, t, _OUTER) for t in ts]
-
-        lhs = comp1 + comp2 + comp3
+        image = lambda op: RealFunction(lambda x: op(side, f, ord_, x, _INNER), a, b)
+        abi_f, abr_f, abc_f = image(ab_integral), image(abr_derivative), image(abc_derivative)
+        lhs = [abr_derivative_kernel_diff(side, abi_f, ord_, t, _INNER, h=2.5e-4) for t in ts]
+        lhs += [ab_integral(side, g, ord_, t, _OUTER) for g in (abr_f, abc_f) for t in ts]
         fv = [f.fn(t) for t in ts]
-        rhs = fv + fv + [v - anchor_val for v in fv]
-    except MlfracError as exc:
-        return _failed_report("inverse-fundamental", params, tol, exc)
-    return IdentityReport("inverse-fundamental", params, np.array(lhs), np.array(rhs), tol)
+        return lhs, fv + fv + [v - anchor_val for v in fv]
+
+    params = _base_params(ord_, a, b, f=f.label, side=side.name) | {"compositions": ("D.I", "I.D", "I.Dc")}
+    return _report("inverse-fundamental", params, tol, sides)
 
 
 def verify_convolution(
@@ -300,35 +276,26 @@ def verify_convolution(
     alpha: float,
     lambda_: float,
     x: float,
-    tol: float | None = None,
+    tol: float = 1e-8,
 ) -> IdentityReport:
     """ML convolution: the generalized integral of an eigenfunction against the
     matching kernel collapses to a single higher-parameter ML value."""
-    tol = 1e-8 if tol is None else tol
     if nu <= 0.0:
         raise DomainError(f"convolution check needs nu > 0, got {nu!r}")
-    params = {
-        "alpha": alpha,
-        "B": 1.0,
-        "interval": (0.0, x),
-        "sigma": sigma,
-        "nu": nu,
-        "lambda": lambda_,
-    }
-    try:
+    params = {"alpha": alpha, "B": 1.0, "interval": (0.0, x), "sigma": sigma, "nu": nu, "lambda": lambda_}
+
+    def sides():
         f = RealFunction(
             fn=lambda t: t ** (nu - 1.0) * ml_value(alpha, nu, sigma, lambda_ * t**alpha)
             if t > 0.0
             else (0.0 if nu > 1.0 else ml_value(alpha, nu, sigma, 0.0)),
             a=0.0,
             b=x,
-            label=f"t^{nu - 1:g} E({alpha:g},{nu:g},{sigma:g})",
         )
         lhs = gen_ml_integral(Side.Left, MLParams(alpha, 1.0, 1.0), lambda_, f, x, _INNER)
-        rhs = x**nu * ml_value(alpha, 1.0 + nu, 1.0 + sigma, lambda_ * x**alpha)
-    except (MlfracError, OverflowError) as exc:
-        return _failed_report("convolution", params, tol, exc)
-    return IdentityReport("convolution", params, np.array([lhs]), np.array([rhs]), tol)
+        return lhs, x**nu * ml_value(alpha, 1.0 + nu, 1.0 + sigma, lambda_ * x**alpha)
+
+    return _report("convolution", params, tol, sides)
 
 
 def verify_diff_formula(
@@ -337,10 +304,9 @@ def verify_diff_formula(
     alpha: float,
     lambda_: float,
     z: float,
-    tol: float | None = None,
+    tol: float = 1e-6,
 ) -> IdentityReport:
     """First-derivative shift: d/dz [z^(mu-1) E(a,mu;g)(l z^a)] = z^(mu-2) E(a,mu-1;g)(l z^a)."""
-    tol = 1e-6 if tol is None else tol
     if mu <= 1.0:
         raise DomainError(f"diff-formula check needs mu > 1, got {mu!r}")
     if not z > 0.0:
@@ -349,13 +315,13 @@ def verify_diff_formula(
     # a step proportional to z keeps both samples clear of the z^alpha cusp at 0
     h = 2e-6 * z
     params = {"alpha": alpha, "B": 1.0, "interval": (z, z), "gamma": gamma_p, "mu": mu, "lambda": lambda_}
-    try:
-        fn = lambda t: t ** (mu - 1.0) * ml_value(alpha, mu, gamma_p, lambda_ * t**alpha)
+    fn = lambda t: t ** (mu - 1.0) * ml_value(alpha, mu, gamma_p, lambda_ * t**alpha)
+
+    def sides():
         lhs = (fn(z + h) - fn(z - h)) / (2.0 * h)
-        rhs = z ** (mu - 2.0) * ml_value(alpha, mu - 1.0, gamma_p, lambda_ * z**alpha)
-    except (MlfracError, OverflowError) as exc:
-        return _failed_report("diff-formula", params, tol, exc)
-    return IdentityReport("diff-formula", params, np.array([lhs]), np.array([rhs]), tol)
+        return lhs, z ** (mu - 2.0) * ml_value(alpha, mu - 1.0, gamma_p, lambda_ * z**alpha)
+
+    return _report("diff-formula", params, tol, sides)
 
 
 def zero_mode(ord_: FracOrder, x: float) -> float:
@@ -407,42 +373,34 @@ def poly(coeffs: Sequence[float], a: float = 0.0, b: float = 1.0) -> RealFunctio
 
 
 def run_default_suite(tol: float | None = None) -> list[IdentityReport]:
-    """The default verification sweep of `mlfrac verify`; ``tol`` reaches every report."""
-    x_fn = poly([0.0, 1.0])
-    one_minus_x = poly([1.0, -1.0])
-    x_sq = poly([0.0, 0.0, 1.0])
-    cubic = poly([0.5, -1.0, 0.0, 2.0])
-
-    golden_pair = (
-        RealFunction(
-            fn=lambda x: 0.5 * (1 - x) + 2.0 * (1 - x) ** 1.5 / (3 * math.sqrt(math.pi)),
-            a=0.0,
-            b=1.0,
-            label="(1-x)/2+2(1-x)^1.5/(3 sqrt(pi))",
-        ),
-        RealFunction(
-            fn=lambda x: 0.5 * x + 2.0 * x**1.5 / (3 * math.sqrt(math.pi)),
-            a=0.0,
-            b=1.0,
-            label="x/2+2x^1.5/(3 sqrt(pi))",
-        ),
-    )
-
-    reports: list[IdentityReport] = []
-    for alpha in (0.25, 0.5, 0.75):
-        ord_ = FracOrder(alpha, 1.0)
-        reports.append(verify_ibp_integrals(one_minus_x, x_fn, ord_, tol))
-        reports.append(verify_ibp_integrals(x_fn, x_sq, ord_, tol))
-        reports.append(verify_ibp_derivatives(cubic, x_sq, ord_, tol))
-        reports.append(verify_caputo_ibp(x_fn, one_minus_x, ord_, Side.Left, tol))
-        reports.append(verify_caputo_rl_relation(x_sq, ord_, Side.Left, tol))
-        reports.append(verify_inverse_and_fundamental(x_fn, ord_, Side.Left, tol))
-    ord_half = FracOrder(0.5, 1.0)
-    reports.append(verify_ibp_derivatives(golden_pair[0], golden_pair[1], ord_half, tol))
-    reports.append(verify_caputo_ibp(x_sq, cubic, ord_half, Side.Right, tol))
-    reports.append(verify_inverse_and_fundamental(x_sq, ord_half, Side.Right, tol))
-    for sigma, nu, x in ((0.0, 1.0, 0.5), (1.0, 1.5, 1.0), (0.0, 2.0, 0.8), (2.0, 1.0, 1.0)):
-        reports.append(verify_convolution(sigma, nu, 0.5, -1.0, x, tol))
-    for gamma_p, mu in ((1.0, 2.0), (2.0, 2.5), (0.5, 3.0)):
-        reports.append(verify_diff_formula(gamma_p, mu, 0.5, -1.0, 0.8, tol))
-    return reports
+    """The default verification sweep of `mlfrac verify`; ``tol``, if given,
+    reaches every report, else each check keeps its own default."""
+    x_fn, one_minus_x = poly([0.0, 1.0]), poly([1.0, -1.0])
+    x_sq, cubic = poly([0.0, 0.0, 1.0]), poly([0.5, -1.0, 0.0, 2.0])
+    rp = 3 * math.sqrt(math.pi)
+    golden_f = RealFunction(lambda x: 0.5 * (1 - x) + 2.0 * (1 - x) ** 1.5 / rp, 0.0, 1.0,
+                            label="(1-x)/2+2(1-x)^1.5/(3 sqrt(pi))")
+    golden_g = RealFunction(lambda x: 0.5 * x + 2.0 * x**1.5 / rp, 0.0, 1.0, label="x/2+2x^1.5/(3 sqrt(pi))")
+    half = FracOrder(0.5)
+    cases = [
+        case
+        for o in map(FracOrder, (0.25, 0.5, 0.75))
+        for case in (
+            (verify_ibp_integrals, one_minus_x, x_fn, o),
+            (verify_ibp_integrals, x_fn, x_sq, o),
+            (verify_ibp_derivatives, cubic, x_sq, o),
+            (verify_caputo_ibp, x_fn, one_minus_x, o, Side.Left),
+            (verify_caputo_rl_relation, x_sq, o, Side.Left),
+            (verify_inverse_and_fundamental, x_fn, o, Side.Left),
+        )
+    ] + [
+        (verify_ibp_derivatives, golden_f, golden_g, half),
+        (verify_caputo_ibp, x_sq, cubic, half, Side.Right),
+        (verify_inverse_and_fundamental, x_sq, half, Side.Right),
+        *[
+            (verify_convolution, sigma, nu, 0.5, -1.0, x)
+            for sigma, nu, x in ((0.0, 1.0, 0.5), (1.0, 1.5, 1.0), (0.0, 2.0, 0.8), (2.0, 1.0, 1.0))
+        ],
+        *[(verify_diff_formula, g, mu, 0.5, -1.0, 0.8) for g, mu in ((1.0, 2.0), (2.0, 2.5), (0.5, 3.0))],
+    ]
+    return [check(*args) if tol is None else check(*args, tol=tol) for check, *args in cases]

@@ -13,7 +13,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 
 from mlfrac import expr
-from mlfrac.cli import run_cli
+from mlfrac.cli import CHECKS, run_cli
 
 SQPI = math.sqrt(math.pi)
 SRC_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -263,6 +263,28 @@ class TestVerifyCommand:
         p = mlfrac("verify", "--id", "convolution", "--alpha", "0.5",
                    "--sigma", "0", "--nu", "2", "--x", "0.5")
         assert p.returncode == 0
+
+    @pytest.mark.parametrize("check_id", list(CHECKS))
+    def test_every_check_passes_at_its_defaults(self, check_id):
+        p = mlfrac("verify", "--id", check_id)
+        assert p.returncode == 0, p.stderr
+        payload = json.loads(p.stdout)
+        assert payload["pass"] is True
+        # only caputo-rl names its report differently from its --id
+        assert payload["identity"] == {"caputo-rl": "caputo-rl-relation"}.get(check_id, check_id)
+
+    def test_checks_are_the_default_suites_identities(self):
+        # the seven names that test_default_suite_all_pass pins
+        names = {"caputo-rl-relation" if i == "caputo-rl" else i for i in CHECKS}
+        assert len(CHECKS) == 7 and names == {
+            "ibp-integrals",
+            "ibp-derivatives",
+            "caputo-ibp",
+            "caputo-rl-relation",
+            "inverse-fundamental",
+            "convolution",
+            "diff-formula",
+        }
 
 
 class TestSolveCommand:

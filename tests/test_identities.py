@@ -186,6 +186,22 @@ def test_overflow_of_the_checks_own_powers_fails_the_report(check):
     assert not r.passed and r.params["error"].startswith("OverflowError")
 
 
+EXP_800 = RealFunction(lambda x: math.exp(800.0 * x), 0.0, 1.0)
+
+
+@pytest.mark.parametrize(
+    "check",
+    [lambda: verify_ibp_integrals(EXP_800, X, HALF), lambda: verify_caputo_rl_relation(EXP_800, HALF)],
+    ids=["ibp-integrals", "caputo-rl"],
+)
+def test_overflow_of_an_operand_fails_the_report(check):
+    # every check, not just the series ones, reports an OverflowError of a
+    # side as a failed report with both sides NaN
+    r = check()
+    assert not r.passed and r.params["error"].startswith("OverflowError")
+    assert np.isnan(r.lhs).all() and np.isnan(r.rhs).all()
+
+
 @pytest.mark.parametrize("alpha", [1.0, 0.995])
 @pytest.mark.parametrize(
     "check",

@@ -195,6 +195,20 @@ def test_central_diff_endpoints_one_sided():
         central_diff(f, 1.5)
 
 
+def test_central_diff_samples_stay_inside_a_short_interval():
+    # the step is capped at (b - a)/6, so even the one-sided five-point taps
+    # of an interval shorter than the default step read only [a, b]
+    a, b = 1.0, 1.0 + 1e-6
+
+    def fn(x):
+        assert a <= x <= b, x
+        return x**3
+
+    f = _rf(fn, a=a, b=b)
+    for t in (a, a + 1e-7, 0.5 * (a + b), b - 1e-7, b):
+        assert central_diff(f, t) == pytest.approx(3.0 * t * t, rel=1e-7)
+
+
 def test_central_diff_agrees_with_analytic():
     f = RealFunction(fn=lambda x: math.exp(0.5 * x) * math.sin(x), a=0.0, b=2.0,
                      deriv=lambda x: math.exp(0.5 * x) * (0.5 * math.sin(x) + math.cos(x)))
