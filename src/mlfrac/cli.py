@@ -2,10 +2,11 @@
 identity verification suite, and solve the worked variational problems.
 
 Exit codes: 0 success, 1 at least one verification report failed, 2 usage
-error (a bad flag or expression, ``solve-el --grid-n`` below 8, or an ``--out``
-file that cannot be written), 3 numeric error from the underlying modules or
-an ``ml`` value flagged as cancelled (``precision_flag``, the bound at which
-the operators' kernel raises).  ``verify --tol`` sets every report's tolerance.
+error (a bad flag or expression, ``solve-el --grid-n`` below 8, a ``verify``
+flag its check does not read, or an ``--out`` file that cannot be written), 3
+numeric error from the underlying modules or an ``ml`` value flagged as
+cancelled (``precision_flag``, the bound at which the operators' kernel
+raises).  ``verify --tol`` sets every report's tolerance.
 """
 
 from __future__ import annotations
@@ -46,7 +47,8 @@ from .variational import SolverConfig, solve_free_particle, solve_quadratic_pote
 INTEG_OPS = ("ab-left", "ab-right", "rl-left", "rl-right")
 DERIV_OPS = ("abc-left", "abc-right", "abr-left", "abr-right", "rl-left", "rl-right")
 #: verify --id: (check, default texts of its --fn/--fn2 operands, the flags
-#: passed after the operands); "ord" is --alpha with --B
+#: passed after the operands); "ord" is --alpha with --B.  verify refuses a flag
+#: set away from its default that the check (or the default suite) does not read
 CHECKS = {
     "ibp-integrals": (verify_ibp_integrals, ("1-x", "x"), ("ord",)),
     "ibp-derivatives": (
@@ -200,7 +202,7 @@ def _json_text(payload) -> str:
 def _grid_csv(grid: GridFunction) -> str:
     lines = ["t,value"]
     singular = set(grid.singular)
-    for i, (t, v) in enumerate(zip(grid.ts, grid.values)):
+    for i, (t, v) in enumerate(zip(grid.ts.tolist(), grid.values.tolist())):
         value = f"{v:.17g}"
         if i in singular:
             value = f"sing({value})"
@@ -213,8 +215,8 @@ def _grid_json(grid: GridFunction, extra: dict | None = None) -> str:
         "a": grid.a,
         "b": grid.b,
         "n": grid.n,
-        "t": [float(t) for t in grid.ts],
-        "values": [float(v) for v in grid.values],
+        "t": grid.ts.tolist(),
+        "values": grid.values.tolist(),
         "singular": list(grid.singular),
     }
     if extra:
@@ -280,11 +282,22 @@ def _run_grid_command(args: argparse.Namespace) -> int:
 
 
 def _verify_reports(args: argparse.Namespace) -> list:
-    side = Side.Left if args.side == "left" else Side.Right
-    flags = vars(args) | {"ord": FracOrder(args.alpha, args.b_norm), "side": side}
+    check, texts, after = CHECKS[args.id] if args.id else (None, (), ())
+    read = {"id", "tol", "out", *after, *("fn", "fn2")[: len(texts)]}
+    if texts:
+        read.add("interval")
+    if "ord" in after:
+        read |= {"alpha", "b_norm"}
+    defaults = vars(build_parser().parse_args(["verify"]))
+    for name, value in vars(args).items():
+        if name not in read and value != defaults[name]:
+            flag = "--B" if name == "b_norm" else f"--{name.replace('_', '-')}"
+            where = f"--id {args.id}" if args.id else "the default suite"
+            raise argparse.ArgumentError(None, f"{flag} is not read by {where}")
     if args.id is None:
         return run_default_suite(args.tol)
-    check, texts, after = CHECKS[args.id]
+    side = Side.Left if args.side == "left" else Side.Right
+    flags = vars(args) | {"ord": FracOrder(args.alpha, args.b_norm), "side": side}
     a, b = args.interval
     fns = [to_real_function(parse_expr(t or default), a, b) for t, default in zip((args.fn, args.fn2), texts)]
     operands = [*fns, *(flags[name] for name in after)]
@@ -343,7 +356,7 @@ def run_cli(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(_bind_interval(sys.argv[1:] if argv is None else argv))
     try:
         return args.run(args)
-    except (SyntaxError, OSError) as exc:
+    except (SyntaxError, OSError, argparse.ArgumentError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (MlfracError, OverflowError) as exc:

@@ -9,11 +9,11 @@ derivative needs the digamma function, which the grammar cannot express),
 so rl_derivative, the one operator reading f', takes fourth-order finite
 differences of those.
 
-:func:`to_real_function` compiles an expression, and its derivative at
-the derivative's first call, once each, to straight-line Python code with
-one assignment per node; the tree walker :func:`evaluate` is the reference
-those functions match bit for bit and the path that raises their domain
-errors.
+:func:`to_real_function` compiles an expression at once, and builds (folded,
+so ``1.5*x^2`` has the derivative ``1.5*(2*x)``) and compiles its derivative
+at the derivative's first call, to straight-line Python code with one
+assignment per node; the tree walker :func:`evaluate` is the reference
+those functions match bit for bit and the path that raises their domain errors.
 """
 
 from __future__ import annotations
@@ -264,28 +264,61 @@ def evaluate(node: Expr, x: float) -> float:
     raise TypeError(f"not an Expr node: {node!r}")
 
 
-def _contains_var(node: Expr) -> bool:
-    if isinstance(node, Var):
+def _contains(node: Expr, test: Callable[[Expr], bool]) -> bool:
+    """Whether test holds at node or at a node below it."""
+    if test(node):
         return True
-    if isinstance(node, Neg):
-        return _contains_var(node.arg)
+    if isinstance(node, (Neg, Call)):
+        return _contains(node.arg, test)
     if isinstance(node, Bin):
-        return _contains_var(node.left) or _contains_var(node.right)
-    if isinstance(node, Call):
-        return _contains_var(node.arg)
+        return _contains(node.left, test) or _contains(node.right, test)
     return False
+
+
+def _contains_var(node: Expr) -> bool:
+    return _contains(node, lambda n: isinstance(n, Var))
+
+
+_ZERO, _ONE = Num(0.0), Num(1.0)
+
+
+def _bin(op: str, l: Expr, r: Expr) -> Expr:
+    """Bin(op, l, r) with the product rule's zeros and ones folded out.  Two
+    literals fold to the value only when the operation neither raises nor
+    overflows, so the derivative keeps every error for evaluate to report."""
+    if isinstance(l, Num) and isinstance(r, Num):
+        try:
+            value = _BINARY[op](l.value, r.value)
+        except (ArithmeticError, ValueError):
+            value = math.nan
+        if math.isfinite(value):
+            return Num(value)
+    if op == "*" and _ZERO in (l, r):
+        return _ZERO
+    if (op == "*" and r == _ONE) or (op in "+-" and r == _ZERO) or (op == "^" and r == _ONE):
+        return l
+    if (op == "*" and l == _ONE) or (op == "+" and l == _ZERO):
+        return r
+    if op == "-" and l == _ZERO:
+        return _neg(r)
+    return _ONE if op == "^" and r == _ZERO else Bin(op, l, r)
+
+
+def _neg(arg: Expr) -> Expr:
+    return Num(-arg.value) if isinstance(arg, Num) else Neg(arg)
 
 
 def differentiate(node: Expr) -> Expr | None:
     """Symbolic derivative with respect to x, or None when the expression
-    contains gamma (whose derivative leaves the grammar)."""
+    contains gamma (whose derivative leaves the grammar).  It is folded as
+    it is built (:func:`_bin`), and built only at the derivative's first call."""
     if isinstance(node, (Num, Const)):
         return Num(0.0)
     if isinstance(node, Var):
         return Num(1.0)
     if isinstance(node, Neg):
         da = differentiate(node.arg)
-        return None if da is None else Neg(da)
+        return None if da is None else _neg(da)
     if isinstance(node, Bin):
         dl = differentiate(node.left)
         dr = differentiate(node.right)
@@ -293,20 +326,20 @@ def differentiate(node: Expr) -> Expr | None:
             return None
         l, r = node.left, node.right
         if node.op in "+-":
-            return Bin(node.op, dl, dr)
+            return _bin(node.op, dl, dr)
         if node.op == "*":
-            return Bin("+", Bin("*", dl, r), Bin("*", l, dr))
+            return _bin("+", _bin("*", dl, r), _bin("*", l, dr))
         if node.op == "/":
-            num = Bin("-", Bin("*", dl, r), Bin("*", l, dr))
-            return Bin("/", num, Bin("^", r, Num(2.0)))
+            num = _bin("-", _bin("*", dl, r), _bin("*", l, dr))
+            return _bin("/", num, _bin("^", r, Num(2.0)))
         # power cases
         if not _contains_var(r):
-            power = Bin("^", l, Bin("-", r, Num(1.0)))
-            return Bin("*", Bin("*", r, power), dl)
+            power = _bin("^", l, _bin("-", r, Num(1.0)))
+            return _bin("*", _bin("*", r, power), dl)
         if not _contains_var(l):
-            return Bin("*", Bin("*", node, Call("ln", l)), dr)
-        bracket = Bin("+", Bin("*", dr, Call("ln", l)), Bin("/", Bin("*", r, dl), l))
-        return Bin("*", node, bracket)
+            return _bin("*", _bin("*", node, Call("ln", l)), dr)
+        bracket = _bin("+", _bin("*", dr, Call("ln", l)), _bin("/", _bin("*", r, dl), l))
+        return _bin("*", node, bracket)
     if isinstance(node, Call):
         da = differentiate(node.arg)
         if da is None or node.fn == "gamma":
@@ -319,12 +352,12 @@ def differentiate(node: Expr) -> Expr | None:
         elif node.fn == "exp":
             outer = Call("exp", u)
         elif node.fn == "ln":
-            return Bin("/", da, u)
+            return _bin("/", da, u)
         elif node.fn == "sqrt":
-            return Bin("/", da, Bin("*", Num(2.0), Call("sqrt", u)))
+            return _bin("/", da, Bin("*", Num(2.0), Call("sqrt", u)))
         else:  # abs
             outer = Bin("/", u, Call("abs", u))
-        return Bin("*", outer, da)
+        return _bin("*", outer, da)
     raise TypeError(f"not an Expr node: {node!r}")
 
 
@@ -334,7 +367,7 @@ _PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}
 def _prec(node: Expr) -> int:
     if isinstance(node, Bin):
         return _PREC[node.op]
-    if isinstance(node, Neg):
+    if isinstance(node, Neg) or (isinstance(node, Num) and node.value < 0):  # a folded literal
         return _PREC["neg"]
     return 5
 
@@ -417,9 +450,10 @@ def _compile(node: Expr) -> Callable[[float], float]:
 
 
 def _deferred(node: Expr) -> Callable[[float], float]:
-    """node compiled by :func:`_compile` at the first call, once even when
-    threads make that call together.  The closure holds no reference back to
-    itself, so it leaves nothing for the cyclic collector."""
+    """The derivative of node, taken by :func:`differentiate` and compiled by
+    :func:`_compile` at the first call, once even when threads make that call
+    together.  The closure holds no reference back to itself, so it leaves
+    nothing for the cyclic collector."""
     compiled: list[Callable[[float], float]] = []
     lock = threading.Lock()
 
@@ -428,7 +462,7 @@ def _deferred(node: Expr) -> Callable[[float], float]:
             with lock:
                 if not compiled:
                     try:
-                        compiled.append(_compile(node))
+                        compiled.append(_compile(differentiate(node)))
                     except RecursionError:
                         raise ExprSyntaxError("expression nested too deeply", 0) from None
         return compiled[0](x)
@@ -439,12 +473,12 @@ def _deferred(node: Expr) -> Callable[[float], float]:
 def to_real_function(node: Expr, a: float, b: float) -> RealFunction:
     """Wrap an expression (and its symbolic derivative, when it exists) as a
     RealFunction on [a, b].  The expression is compiled by :func:`_compile`
-    at once; its derivative is taken at once, so ``deriv is None`` exactly
-    when there is none, but compiled only when first called, which only
-    rl_derivative does."""
+    at once.  Its derivative exists unless it calls gamma, so ``deriv is
+    None`` exactly then; it is taken and compiled only when first called,
+    which only rl_derivative does."""
     try:
-        d = differentiate(node)
-        deriv = None if d is None else _deferred(d)
+        has_gamma = _contains(node, lambda n: isinstance(n, Call) and n.fn == "gamma")
+        deriv = None if has_gamma else _deferred(node)
         return RealFunction(fn=_compile(node), a=a, b=b, deriv=deriv, label=to_string(node))
     except RecursionError:  # a long flat chain, which the parser builds without recursing
         raise ExprSyntaxError("expression nested too deeply", 0) from None

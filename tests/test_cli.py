@@ -10,10 +10,12 @@ import warnings
 from collections import namedtuple
 from contextlib import redirect_stderr, redirect_stdout
 
+import numpy as np
 import pytest
 
 from mlfrac import expr
-from mlfrac.cli import CHECKS, run_cli
+from mlfrac.cli import CHECKS, _grid_csv, _grid_json, run_cli
+from mlfrac.operators import GridFunction
 
 SQPI = math.sqrt(math.pi)
 SRC_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -96,6 +98,17 @@ class TestGridCommands:
             t, v = float(t_s), float(v_s)
             want = t / 2.0 + 2.0 * t**1.5 / (3.0 * SQPI)
             assert abs(v - want) <= 1e-8
+
+    def test_csv_and_json_keep_all_17_digits(self):
+        grid = GridFunction(a=0.0, b=0.3, n=3, values=np.array([0.1 + 0.2, 1 / 3, math.pi, math.inf]),
+                            singular=(3,))
+        assert _grid_csv(grid) == (
+            "t,value\n0,0.30000000000000004\n0.099999999999999992,0.33333333333333331\n"
+            "0.19999999999999998,3.1415926535897931\n0.29999999999999999,sing(inf)\n"
+        )
+        payload = json.loads(_grid_json(grid))
+        assert payload["t"] == grid.ts.tolist()
+        assert payload["values"] == [0.1 + 0.2, 1 / 3, math.pi, None]
 
     def test_csv_format_contract(self):
         p = mlfrac(
@@ -272,6 +285,40 @@ class TestVerifyCommand:
         assert payload["pass"] is True
         # only caputo-rl names its report differently from its --id
         assert payload["identity"] == {"caputo-rl": "caputo-rl-relation"}.get(check_id, check_id)
+
+    @pytest.mark.parametrize("check_id, flag, value", [
+        ("ibp-integrals", "--side", "right"),
+        ("ibp-derivatives", "--sigma", "2"),
+        ("caputo-ibp", "--lam", "-2"),
+        ("caputo-rl", "--fn2", "x"),
+        ("inverse-fundamental", "--z", "0.5"),
+        ("convolution", "--B", "5"),
+        ("diff-formula", "--interval", "0:3"),
+        (None, "--alpha", "0.3"),
+    ])
+    def test_flag_the_check_does_not_read_is_usage_error(self, check_id, flag, value):
+        argv = ["verify", flag, value] if check_id is None else ["verify", "--id", check_id, flag, value]
+        p = mlfrac(*argv)
+        assert p.returncode == 2 and p.stdout == ""
+        read_by = "the default suite" if check_id is None else f"--id {check_id}"
+        assert p.stderr == f"error: {flag} is not read by {read_by}\n"
+
+    @pytest.mark.parametrize("check_id", list(CHECKS))
+    def test_every_flag_the_check_reads_is_accepted(self, check_id):
+        # each flag the check reads, set away from its default
+        _, texts, after = CHECKS[check_id]
+        values = {"sigma": "0.5", "nu": "2", "alpha": "0.4", "lam": "-0.5", "x": "0.8", "gamma_p": "2",
+                  "mu": "1.5", "z": "0.5", "side": "right"}
+        argv = ["--tol", "1e-4", *(["--interval", "0:0.5"] if texts else [])]
+        for flag, text in zip(("--fn", "--fn2"), texts):
+            argv += [flag, f"({text})/2"]
+        for name in after:
+            flag = f"--{name.replace('_', '-')}"
+            argv += ["--alpha", "0.4", "--B", "2"] if name == "ord" else [flag, values[name]]
+        p = mlfrac("verify", "--id", check_id, *argv)
+        assert p.returncode == 0, p.stderr
+        payload = json.loads(p.stdout)
+        assert payload["pass"] is True and payload["tol"] == 1e-4 and payload["alpha"] == 0.4
 
     def test_checks_are_the_default_suites_identities(self):
         # the seven names that test_default_suite_all_pass pins

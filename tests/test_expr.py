@@ -190,11 +190,69 @@ def test_symbolic_derivative_matches_central_differences():
         ("pi*x^2/2", 0.8),
         ("x^(3/2)", 0.9),
     ]
+    # every corpus expression with a derivative is smooth at 0.7
+    safe += [(text, 0.7) for text in CORPUS if differentiate(parse_expr(text)) is not None]
     for text, x0 in safe:
         f = to_real_function(parse_expr(text), -0.5, 2.5)
         assert f.deriv is not None, text
         fd = central_diff(f, x0)
         assert abs(f.deriv(x0) - fd) <= 1e-7, text
+
+
+@pytest.mark.parametrize("text, want", [
+    ("1.0039*x^2 + 0.9891*sin(1.0162*x)", "1.0039*(2*x)+0.9891*(cos(1.0162*x)*1.0162)"),
+    ("0.7012*exp(-1.2871*x) + 0.4033*x^3 + -0.2011*x^1",
+     "0.7012*(exp(-1.2871*x)*-1.2871)+0.4033*(3*x^2)+-0.2011"),
+    ("x^1", "1"),
+    ("0*x", "0"),
+    ("2^x", "2^x*ln(2)"),
+    ("1/x", "-1/x^2"),
+])
+def test_symbolic_derivative_is_folded(text, want):
+    # the product rule's zeros and ones leave no node behind
+    assert to_string(differentiate(parse_expr(text))) == want
+
+
+@pytest.mark.parametrize("text", ["x*(1/0)", "x*(10^400)", "x^(0^-1)", "(-8)^(1/3)*x"])
+def test_folding_keeps_literal_errors_for_evaluate(text):
+    # two literals fold only to a finite value, so building the derivative
+    # never raises and the derivative fails where f does, with a DomainError
+    tree = parse_expr(text)
+    d = differentiate(tree)
+    assert d is not None
+    for x in (0.5, 2.0):
+        with pytest.raises(DomainError):
+            evaluate(tree, x)
+        with pytest.raises(DomainError):
+            evaluate(d, x)
+    _assert_compiled_matches_evaluate(tree, (0.5, 2.0))
+
+
+def test_negative_literal_prints_with_its_sign():
+    # folding makes negative literals, which the parser never does
+    tree = Bin("^", Num(-2.0), Var())
+    assert to_string(tree) == "(-2)^x"
+    assert evaluate(parse_expr(to_string(tree)), 3.0) == -8.0
+
+
+def test_derivative_is_taken_at_its_first_call(monkeypatch):
+    calls = []
+    differentiate_ = expr.differentiate
+    monkeypatch.setattr(expr, "differentiate", lambda node: calls.append(node) or differentiate_(node))
+    assert to_real_function(parse_expr("gamma(x+1)*x"), 0.5, 1.0).deriv is None
+    f = to_real_function(parse_expr("x^2"), 0.0, 1.0)
+    assert calls == []
+    assert f.deriv(0.25) == 0.5 and calls[0] == parse_expr("x^2")
+    taken = len(calls)  # the recursion calls it too
+    assert f.deriv(0.75) == 1.5 and len(calls) == taken
+
+    def too_deep(node):
+        raise RecursionError
+
+    monkeypatch.setattr(expr, "differentiate", too_deep)
+    g = to_real_function(parse_expr("x^2"), 0.0, 1.0)
+    with pytest.raises(ExprSyntaxError, match="nested too deeply"):
+        g.deriv(0.5)
 
 
 def test_gamma_blocks_symbolic_derivative():
