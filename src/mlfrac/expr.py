@@ -1,14 +1,22 @@
 """Arithmetic expression parsing for the command line.
 
-Grammar over one variable x: numeric literals, + - * / ^ (with ^ binding
-tighter than unary minus and associating to the right), the functions
-sin cos exp ln sqrt abs gamma, and the constants pi and e.  Parsed
-expressions evaluate to floats and differentiate symbolically; the seven
-function heads are closed under differentiation except gamma (its
-derivative needs the digamma function, which the grammar cannot express),
-so rl_derivative, the one operator reading f', takes fourth-order finite
-differences of those.
+Grammar over one variable x, one rule per method of the parser::
 
+    sums     = products { ("+" | "-") products }
+    products = unary { ("*" | "/") unary }
+    unary    = "-" unary | atom [ "^" unary ]
+    atom     = number | "x" | "pi" | "e" | function "(" sums ")" | "(" sums ")"
+
+so ^ binds tighter than unary minus and associates to the right.  The
+functions are sin cos exp ln sqrt abs gamma.  Numbers are written in
+decimal digits; a numeral that is no decimal digit (such as a superscript
+two) starts an unknown identifier.  Parentheses and calls nest at most
+_MAX_NESTING deep, and a chain of - or ^ as deep as Python's recursion
+limit allows, one frame per link; deeper input is an ExprSyntaxError.
+
+Parsed expressions evaluate to floats and differentiate symbolically,
+except through gamma, whose derivative needs digamma; for those
+rl_derivative, the one operator reading f', takes finite differences.
 :func:`to_real_function` compiles an expression at once, and builds (folded,
 so ``1.5*x^2`` has the derivative ``1.5*(2*x)``) and compiles its derivative
 at the derivative's first call, to straight-line Python code with one
@@ -20,6 +28,7 @@ from __future__ import annotations
 
 import math
 import operator
+import re
 import threading
 from dataclasses import dataclass
 from typing import Callable
@@ -77,156 +86,102 @@ class Call(Expr):
     arg: Expr
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # num ident op lparen rparen end
-    text: str
-    pos: int
-
-
-def _tokenize(text: str) -> list[_Token]:
-    out: list[_Token] = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch.isdigit() or (ch == "." and i + 1 < n and text[i + 1].isdigit()):
-            j = i
-            while j < n and (text[j].isdigit() or text[j] == "."):
-                j += 1
-            if j < n and text[j] in "eE" and (
-                j + 1 < n and (text[j + 1].isdigit() or text[j + 1] in "+-" and j + 2 < n and text[j + 2].isdigit())
-            ):
-                j += 2
-                while j < n and text[j].isdigit():
-                    j += 1
-            out.append(_Token("num", text[i:j], i))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            out.append(_Token("ident", text[i:j], i))
-            i = j
-            continue
-        if ch in "+-*/^":
-            out.append(_Token("op", ch, i))
-            i += 1
-            continue
-        if ch == "(":
-            out.append(_Token("lparen", ch, i))
-            i += 1
-            continue
-        if ch == ")":
-            out.append(_Token("rparen", ch, i))
-            i += 1
-            continue
-        raise ExprSyntaxError(f"unexpected character {ch!r}", i)
-    out.append(_Token("end", "", n))
-    return out
+# One alternative per token kind, tried in order; whitespace is skipped and
+# anything else is an unexpected character.
+_TOKEN = re.compile(
+    r"(?P<num>\.?\d[\d.]*(?:[eE][+-]?\d+)?)|(?P<ident>[^\W\d]\w*)|(?P<op>[-+*/^()])|\s+|(?P<bad>\S)"
+)
+_MAX_NESTING = 200  # parentheses and function calls, one inside the other
 
 
 class _Parser:
+    """Recursive descent with one method per rule of the grammar, over the
+    (kind, text, offset) tokens of text."""
+
     def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.pos = 0
+        self.tokens = []
+        for m in _TOKEN.finditer(text):
+            if m.lastgroup == "bad":
+                raise ExprSyntaxError(f"unexpected character {m.group()!r}", m.start())
+            if m.lastgroup:
+                self.tokens.append((m.lastgroup, m.group(), m.start()))
+        self.tokens.append(("end", "", len(text)))
+        self.i = self.depth = 0
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
+    def take(self, *texts: str) -> str | None:
+        """The next token's text, consumed, if it is one of texts."""
+        text = self.tokens[self.i][1]
+        if text not in texts:
+            return None
+        self.i += 1
+        return text
 
-    def advance(self) -> _Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
+    def expect(self, text: str) -> None:
+        if not self.take(text):
+            _, found, pos = self.tokens[self.i]
+            raise ExprSyntaxError(f"found {found or 'end of input'!r}", pos, (repr(text),))
 
-    def expect(self, kind: str, what: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise ExprSyntaxError(f"found {tok.text or 'end of input'!r}", tok.pos, (what,))
-        return self.advance()
-
-    def parse(self) -> Expr:
-        node = self.expr()
-        tok = self.peek()
-        if tok.kind != "end":
-            raise ExprSyntaxError(f"trailing input {tok.text!r}", tok.pos, ("operator", "end of input"))
+    def sums(self) -> Expr:
+        node = self.products()
+        while op := self.take("+", "-"):
+            node = Bin(op, node, self.products())
         return node
 
-    def expr(self) -> Expr:
-        node = self.term()
-        while self.peek().kind == "op" and self.peek().text in "+-":
-            op = self.advance().text
-            node = Bin(op, node, self.term())
-        return node
-
-    def term(self) -> Expr:
+    def products(self) -> Expr:
         node = self.unary()
-        while self.peek().kind == "op" and self.peek().text in "*/":
-            op = self.advance().text
+        while op := self.take("*", "/"):
             node = Bin(op, node, self.unary())
         return node
 
     def unary(self) -> Expr:
-        tok = self.peek()
-        if tok.kind == "op" and tok.text == "-":
-            self.advance()
+        if self.take("-"):
             return Neg(self.unary())
-        return self.power()
-
-    def power(self) -> Expr:
         node = self.atom()
-        tok = self.peek()
-        if tok.kind == "op" and tok.text == "^":
-            self.advance()
-            return Bin("^", node, self.unary())
-        return node
+        return Bin("^", node, self.unary()) if self.take("^") else node
 
     def atom(self) -> Expr:
-        tok = self.peek()
-        if tok.kind == "num":
-            self.advance()
+        kind, text, pos = self.tokens[self.i]
+        self.i += 1
+        if kind == "num":
             try:
-                value = float(tok.text)
+                value = float(text)
             except ValueError:
                 value = math.nan
             if not math.isfinite(value):  # malformed, or overflows to infinity
-                raise ExprSyntaxError(f"bad number literal {tok.text!r}", tok.pos)
+                raise ExprSyntaxError(f"bad number literal {text!r}", pos)
             return Num(value)
-        if tok.kind == "ident":
-            self.advance()
-            name = tok.text
-            if name == "x":
+        if kind == "ident" and text not in FUNCTIONS:
+            if text == "x":
                 return Var()
-            if name in CONSTANTS:
-                return Const(name)
-            if name in FUNCTIONS:
-                self.expect("lparen", "'('")
-                arg = self.expr()
-                self.expect("rparen", "')'")
-                return Call(name, arg)
-            raise UnknownIdentifier(f"unknown identifier {name!r}", tok.pos)
-        if tok.kind == "lparen":
-            self.advance()
-            node = self.expr()
-            self.expect("rparen", "')'")
-            return node
-        raise ExprSyntaxError(
-            f"found {tok.text or 'end of input'!r}", tok.pos, ("number", "identifier", "'('")
-        )
+            if text in CONSTANTS:
+                return Const(text)
+            raise UnknownIdentifier(f"unknown identifier {text!r}", pos)
+        if kind == "ident":  # a function call
+            self.expect("(")
+        elif text != "(":
+            raise ExprSyntaxError(f"found {text or 'end of input'!r}", pos, ("number", "identifier", "'('"))
+        self.depth += 1
+        if self.depth > _MAX_NESTING:
+            raise ExprSyntaxError("expression nested too deeply", 0)
+        node = self.sums()
+        self.expect(")")
+        self.depth -= 1
+        return Call(text, node) if kind == "ident" else node
 
 
 def parse_expr(text: str) -> Expr:
     """Parse an expression; raises ExprSyntaxError / UnknownIdentifier."""
     if not text or not text.strip():
         raise ExprSyntaxError("empty expression", 0)
+    parser = _Parser(text)
     try:
-        return _Parser(text).parse()
-    except RecursionError:
+        node = parser.sums()
+    except RecursionError:  # a long chain of unary minus signs or powers
         raise ExprSyntaxError("expression nested too deeply", 0) from None
+    kind, rest, pos = parser.tokens[parser.i]
+    if kind != "end":
+        raise ExprSyntaxError(f"trailing input {rest!r}", pos, ("operator", "end of input"))
+    return node
 
 
 def evaluate(node: Expr, x: float) -> float:
@@ -264,19 +219,12 @@ def evaluate(node: Expr, x: float) -> float:
     raise TypeError(f"not an Expr node: {node!r}")
 
 
-def _contains(node: Expr, test: Callable[[Expr], bool]) -> bool:
-    """Whether test holds at node or at a node below it."""
-    if test(node):
-        return True
-    if isinstance(node, (Neg, Call)):
-        return _contains(node.arg, test)
+def _calls_gamma(node: Expr) -> bool:
     if isinstance(node, Bin):
-        return _contains(node.left, test) or _contains(node.right, test)
-    return False
-
-
-def _contains_var(node: Expr) -> bool:
-    return _contains(node, lambda n: isinstance(n, Var))
+        return _calls_gamma(node.left) or _calls_gamma(node.right)
+    if isinstance(node, Call) and node.fn == "gamma":
+        return True
+    return isinstance(node, (Neg, Call)) and _calls_gamma(node.arg)
 
 
 _ZERO, _ONE = Num(0.0), Num(1.0)
@@ -312,39 +260,43 @@ def differentiate(node: Expr) -> Expr | None:
     """Symbolic derivative with respect to x, or None when the expression
     contains gamma (whose derivative leaves the grammar).  It is folded as
     it is built (:func:`_bin`), and built only at the derivative's first call."""
+    return _derive(node)[0]
+
+
+def _derive(node: Expr) -> tuple[Expr | None, bool]:
+    """The derivative of node (None if node calls gamma) and whether node
+    contains x, taken bottom-up in one pass: a power needs the second to
+    choose its rule."""
     if isinstance(node, (Num, Const)):
-        return Num(0.0)
+        return Num(0.0), False
     if isinstance(node, Var):
-        return Num(1.0)
+        return Num(1.0), True
     if isinstance(node, Neg):
-        da = differentiate(node.arg)
-        return None if da is None else _neg(da)
+        da, has_x = _derive(node.arg)
+        return (None if da is None else _neg(da)), has_x
     if isinstance(node, Bin):
-        dl = differentiate(node.left)
-        dr = differentiate(node.right)
-        if dl is None or dr is None:
-            return None
+        (dl, l_has_x), (dr, r_has_x) = _derive(node.left), _derive(node.right)
         l, r = node.left, node.right
-        if node.op in "+-":
-            return _bin(node.op, dl, dr)
-        if node.op == "*":
-            return _bin("+", _bin("*", dl, r), _bin("*", l, dr))
-        if node.op == "/":
-            num = _bin("-", _bin("*", dl, r), _bin("*", l, dr))
-            return _bin("/", num, _bin("^", r, Num(2.0)))
-        # power cases
-        if not _contains_var(r):
-            power = _bin("^", l, _bin("-", r, Num(1.0)))
-            return _bin("*", _bin("*", r, power), dl)
-        if not _contains_var(l):
-            return _bin("*", _bin("*", node, Call("ln", l)), dr)
-        bracket = _bin("+", _bin("*", dr, Call("ln", l)), _bin("/", _bin("*", r, dl), l))
-        return _bin("*", node, bracket)
+        if dl is None or dr is None:
+            d = None
+        elif node.op in "+-":
+            d = _bin(node.op, dl, dr)
+        elif node.op == "*":
+            d = _bin("+", _bin("*", dl, r), _bin("*", l, dr))
+        elif node.op == "/":
+            d = _bin("/", _bin("-", _bin("*", dl, r), _bin("*", l, dr)), _bin("^", r, Num(2.0)))
+        elif not r_has_x:  # u^c
+            d = _bin("*", _bin("*", r, _bin("^", l, _bin("-", r, Num(1.0)))), dl)
+        elif not l_has_x:  # c^v
+            d = _bin("*", _bin("*", node, Call("ln", l)), dr)
+        else:
+            d = _bin("*", node, _bin("+", _bin("*", dr, Call("ln", l)), _bin("/", _bin("*", r, dl), l)))
+        return d, l_has_x or r_has_x
     if isinstance(node, Call):
-        da = differentiate(node.arg)
-        if da is None or node.fn == "gamma":
-            return None
+        da, has_x = _derive(node.arg)
         u = node.arg
+        if da is None or node.fn == "gamma":
+            return None, has_x
         if node.fn == "sin":
             outer: Expr = Call("cos", u)
         elif node.fn == "cos":
@@ -352,12 +304,12 @@ def differentiate(node: Expr) -> Expr | None:
         elif node.fn == "exp":
             outer = Call("exp", u)
         elif node.fn == "ln":
-            return _bin("/", da, u)
+            return _bin("/", da, u), has_x
         elif node.fn == "sqrt":
-            return _bin("/", da, Bin("*", Num(2.0), Call("sqrt", u)))
+            return _bin("/", da, Bin("*", Num(2.0), Call("sqrt", u))), has_x
         else:  # abs
             outer = Bin("/", u, Call("abs", u))
-        return _bin("*", outer, da)
+        return _bin("*", outer, da), has_x
     raise TypeError(f"not an Expr node: {node!r}")
 
 
@@ -477,8 +429,7 @@ def to_real_function(node: Expr, a: float, b: float) -> RealFunction:
     None`` exactly then; it is taken and compiled only when first called,
     which only rl_derivative does."""
     try:
-        has_gamma = _contains(node, lambda n: isinstance(n, Call) and n.fn == "gamma")
-        deriv = None if has_gamma else _deferred(node)
+        deriv = None if _calls_gamma(node) else _deferred(node)
         return RealFunction(fn=_compile(node), a=a, b=b, deriv=deriv, label=to_string(node))
     except RecursionError:  # a long flat chain, which the parser builds without recursing
         raise ExprSyntaxError("expression nested too deeply", 0) from None

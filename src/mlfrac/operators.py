@@ -132,7 +132,7 @@ class GridFunction:
     def h(self) -> float:
         return (self.b - self.a) / self.n
 
-    def to_real_function(self, label: str = "") -> RealFunction:
+    def to_real_function(self) -> RealFunction:
         """Linear interpolant, valued as ``np.interp``, with its piecewise-constant slope
         and the interior nodes as breaks."""
         nodes, vals = self.ts.tolist(), self.values.tolist()
@@ -146,8 +146,7 @@ class GridFunction:
         def deriv(t: float) -> float:  # fn's cell, so a node reads the slope on its right
             return rises[min(max(bisect_right(nodes, t) - 1, 0), n - 1)]
 
-        return RealFunction(fn=fn, a=self.a, b=self.b, deriv=deriv, label=label,
-                            breaks=tuple(nodes[1:-1]))
+        return RealFunction(fn=fn, a=self.a, b=self.b, deriv=deriv, breaks=tuple(nodes[1:-1]))
 
 
 def rl_integral(

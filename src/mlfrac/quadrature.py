@@ -226,16 +226,16 @@ def power_quad(
     return p * math.fsum(adaptive_gl(integrand, u, v, piece_cfg) for u, v in zip(cuts, cuts[1:]))
 
 
-def central_diff(f: RealFunction, t: float, h: float | None = None) -> float:
+def central_diff(f: RealFunction, t: float) -> float:
     """Fourth-order finite-difference first derivative of f at t.
 
-    The default step is eps^(1/5) max(1, |t|).  Every step is capped at
-    (b - a)/6, so that within 2h of an endpoint the one-sided five-point
-    formula, which reaches 4h into [a, b], is used and stays inside it.
+    The step is eps^(1/5) max(1, |t|), capped at (b - a)/6, so that within
+    2h of an endpoint the one-sided five-point formula, which reaches 4h
+    into [a, b], is used and stays inside it.
     """
     if not f.contains(t):
         raise DomainError(f"central_diff point t={t!r} outside [{f.a!r}, {f.b!r}]")
-    h = min(_EPS_FIFTH * max(1.0, abs(t)) if h is None else h, (f.b - f.a) / 6.0)
+    h = min(_EPS_FIFTH * max(1.0, abs(t)), (f.b - f.a) / 6.0)
     if t - 2.0 * h >= f.a and t + 2.0 * h <= f.b:
         return (f.fn(t - 2.0 * h) - 8.0 * f.fn(t - h) + 8.0 * f.fn(t + h) - f.fn(t + 2.0 * h)) / (12.0 * h)
     step = h if t - 2.0 * h < f.a else -h

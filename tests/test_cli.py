@@ -35,13 +35,18 @@ def mlfrac(*argv):
     return Run(code, out.getvalue(), err.getvalue())
 
 
-def test_module_entry_point():
-    # the one subprocess test: python -m mlfrac.cli, with its exit codes
+def _python_m_mlfrac(*argv):
+    """python -m mlfrac.cli in a child interpreter, importing mlfrac from this
+    checkout, installed or not."""
     env = dict(os.environ)
-    # the child interpreter imports mlfrac from this checkout, installed or not
     env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC_DIR, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-m", "mlfrac.cli", *argv], capture_output=True, text=True, env=env)
+
+
+def test_module_entry_point():
+    # python -m mlfrac.cli, with its exit codes
     runs = [
-        subprocess.run([sys.executable, "-m", "mlfrac.cli", *argv], capture_output=True, text=True, env=env)
+        _python_m_mlfrac(*argv)
         for argv in (["ml", "--rho", "1", "--mu", "1", "--z", "1"],
                      ["ml", "--rho", "0.5", "--mu", "1", "--z", "-12"],
                      ["ml", "--rho", "1"])
@@ -49,6 +54,15 @@ def test_module_entry_point():
     assert [p.returncode for p in runs] == [0, 3, 2]
     assert abs(float(runs[0].stdout) - math.e) <= 1e-14
     assert "max_term_magnitude" in runs[1].stderr and "Traceback" not in runs[1].stderr
+
+
+def test_command_line_accepts_196_nested_calls():
+    # run as a command, where the call stack is the command's own; in
+    # process the test runner's frames would count against the nesting
+    p = _python_m_mlfrac("integ", "--op", "ab-left", "--alpha", "0.5", "--grid", "3",
+                         "--fn", "sin(" * 196 + "x" + ")" * 196)
+    assert p.returncode == 0, p.stderr
+    assert p.stdout.startswith("t,value\n")
 
 
 class TestMlCommand:
@@ -147,9 +161,11 @@ class TestGridCommands:
         assert p.returncode == 2
 
     def test_too_deep_nesting_is_usage_error(self):
-        # long flat chains parse without recursing; the passes over the tree do not
-        for deep in ("sin(" * 220 + "x" + ")" * 220, "*".join(["x"] * 3001), "+".join(["x"] * 3001)):
-            p = mlfrac("integ", "--op", "ab-left", "--alpha", "0.5", "--fn", deep, "--grid", "3")
+        # long flat chains parse without recursing; the passes over the tree do not.
+        # --fn=... because argparse reads a bare leading '-' as a flag
+        for deep in ("sin(" * 220 + "x" + ")" * 220, "*".join(["x"] * 3001), "+".join(["x"] * 3001),
+                     "-" * 5000 + "x", "1^" * 5000 + "x"):
+            p = mlfrac("integ", "--op", "ab-left", "--alpha", "0.5", f"--fn={deep}", "--grid", "3")
             assert p.returncode == 2
             assert "nested too deeply" in p.stderr and "Traceback" not in p.stderr
 

@@ -2,6 +2,7 @@ import math
 import random
 import sys
 import threading
+import time
 
 import mpmath
 import pytest
@@ -59,21 +60,23 @@ class TestParseAndEvaluate:
         assert ev("2.5E-1") == 0.25
         assert ev(".5") == 0.5
 
-    def test_syntax_errors_carry_offsets(self):
+    @pytest.mark.parametrize("text, error, message, offset, expected", [
+        ("", ExprSyntaxError, "empty expression", 0, ()),
+        ("1 ? 2", ExprSyntaxError, "unexpected character '?'", 2, ()),
+        ("1.2.3", ExprSyntaxError, "bad number literal '1.2.3'", 0, ()),
+        ("1e999", ExprSyntaxError, "bad number literal '1e999'", 0, ()),
+        ("x + foo", UnknownIdentifier, "unknown identifier 'foo'", 4, ()),
+        ("sin 1", ExprSyntaxError, "found '1'", 4, ("'('",)),
+        ("(1+2", ExprSyntaxError, "found 'end of input'", 4, ("')'",)),
+        ("1 + * 2", ExprSyntaxError, "found '*'", 4, ("number", "identifier", "'('")),
+        ("1 2", ExprSyntaxError, "trailing input '2'", 2, ("operator", "end of input")),
+    ])
+    def test_syntax_errors_carry_offsets(self, text, error, message, offset, expected):
         with pytest.raises(ExprSyntaxError) as e:
-            parse_expr("1 + * 2")
-        assert e.value.offset == 4
-        with pytest.raises(ExprSyntaxError) as e:
-            parse_expr("sin 1")
-        assert "'('" in e.value.expected
-        with pytest.raises(ExprSyntaxError):
-            parse_expr("(1+2")
-        with pytest.raises(ExprSyntaxError):
-            parse_expr("")
-        with pytest.raises(ExprSyntaxError):
-            parse_expr("1 ? 2")
-        with pytest.raises(ExprSyntaxError):
-            parse_expr("1 2")
+            parse_expr(text)
+        assert type(e.value) is error
+        assert str(e.value).startswith(f"{message} at offset {offset}")
+        assert (e.value.offset, e.value.expected) == (offset, expected)
 
     def test_non_finite_literal_is_a_syntax_error(self):
         with pytest.raises(ExprSyntaxError, match="bad number literal '1e999'") as e:
@@ -253,6 +256,21 @@ def test_derivative_is_taken_at_its_first_call(monkeypatch):
     g = to_real_function(parse_expr("x^2"), 0.0, 1.0)
     with pytest.raises(ExprSyntaxError, match="nested too deeply"):
         g.deriv(0.5)
+
+
+def test_derivative_of_power_chain_is_linear_in_depth():
+    # 1^(1^(...^x)): each power asks whether its operands contain x, which
+    # one bottom-up pass answers along with the derivatives
+    tree = Var()
+    for _ in range(600):
+        tree = Bin("^", Num(1.0), tree)
+    best = math.inf
+    for _ in range(3):
+        start = time.perf_counter()
+        d = differentiate(tree)
+        best = min(best, time.perf_counter() - start)
+    assert evaluate(d, 0.5) == 0.0
+    assert best <= 0.030
 
 
 def test_gamma_blocks_symbolic_derivative():
