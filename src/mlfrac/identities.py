@@ -224,6 +224,8 @@ def verify_caputo_rl_relation(
     RL-type derivative independently by differentiating the kernel integral
     with a central difference of step h.
     """
+    if not (0.0 < h < math.inf):
+        raise DomainError(f"caputo-rl check needs a finite step h > 0, got h={h!r}")
     a, b = f.a, f.b
     anchor = side.anchor(f)
 

@@ -215,6 +215,8 @@ def abr_derivative_kernel_diff(
     differentiable), so it also covers integrable anchor singularities.
     """
     lam, alpha, scale = ord_.lam, ord_.alpha, ord_.scale
+    if not (0.0 < h < math.inf):
+        raise DomainError(f"the d/dt step needs a finite h > 0, got h={h!r}")
     if not (f.a + h <= t <= f.b - h):
         raise DomainError(f"need a+h <= t <= b-h for the d/dt step, got t={t!r}")
 

@@ -85,8 +85,10 @@ class QuadConfig:
     rel_tol: float = 1e-10
 
     def __post_init__(self) -> None:
-        if self.abs_tol <= 0 or self.rel_tol <= 0:
-            raise DomainError("quadrature tolerances must be positive")
+        if not (0.0 < self.abs_tol < math.inf and 0.0 < self.rel_tol < math.inf):
+            raise DomainError(
+                f"quadrature tolerances must be finite and positive, got {self.abs_tol!r}, {self.rel_tol!r}"
+            )
 
 
 DEFAULT_QUAD = QuadConfig()

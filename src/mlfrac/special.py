@@ -7,15 +7,15 @@ The three-parameter (Prabhakar) Mittag-Leffler function
 is the kernel of every nonlocal operator in this package.  Terms are
 generated by a ratio recurrence whose gamma factors are evaluated as
 log-gamma differences, so the series stays in floating-point range far
-past the overflow point of Gamma itself.  Ratio tables depend only on
-(rho, mu, gamma) and are memoized across calls.  ``ml_eval`` walks the
-cached table term by term in one loop.  ``ml_value``, the operators' kernel,
-sums the same series by Horner's rule over coefficients cached per
-quarter-octave |z| band and sign of z, with as many terms as the loop needs
-at the band's outer edge, and hands a z to the loop where that sum fails its
-checks (see :func:`ml_value`).  One cancellation rule serves both: a value
-has lost its digits iff eps times the largest term exceeds 1e-6 of it, where
-``ml_eval`` sets ``precision_flag`` and ``ml_value`` raises.
+past the overflow point of Gamma itself.  Each (rho, mu, gamma) gets its
+ratio table built whole on first use (about 1 ms and 64 KB) and cached.
+``ml_eval`` walks that table term by term in one loop.  ``ml_value``, the
+operators' kernel, sums the same series by Horner's rule over coefficients
+cached per quarter-octave |z| band and sign of z, with as many terms as the
+loop needs at the band's outer edge, and hands a z to the loop where that
+sum fails its checks (see :func:`ml_value`).  One cancellation rule serves
+both: a value has lost its digits iff eps times the largest term exceeds
+1e-6 of it, where ``ml_eval`` sets ``precision_flag`` and ``ml_value`` raises.
 
 ``exp_sum_kernel`` gives the operator kernel E_alpha(lam s^alpha), lam < 0,
 as an exact sum of decaying exponentials instead.  For 0 < alpha < 1 the
@@ -43,7 +43,7 @@ import functools
 import math
 import operator
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, islice
 
 import numpy as np
 
@@ -89,6 +89,8 @@ class MLParams:
             raise DomainError(f"MLParams requires finite rho > 0, got {self.rho!r}")
         if not (0.0 < self.mu < math.inf):
             raise DomainError(f"MLParams requires finite mu > 0, got {self.mu!r}")
+        if not (-math.inf < self.gamma_p < math.inf):
+            raise DomainError(f"MLParams requires finite gamma_p, got {self.gamma_p!r}")
 
 
 @dataclass(frozen=True)
@@ -106,62 +108,46 @@ class SeriesResult:
     precision_flag: bool
 
 
-# key (rho, mu, gamma_p) -> tuple of term ratios r_k with
-# term_{k+1} = term_k * z * r_k.  Replaced atomically when extended.
-_ratio_cache: dict[tuple[float, float, float], tuple[float, ...]] = {}
-
-
-def _ratios(rho: float, mu: float, gamma_p: float, upto: int) -> tuple[float, ...]:
-    key = (rho, mu, gamma_p)
-    cached = _ratio_cache.get(key, ())
-    if len(cached) >= upto:
-        return cached
-    ratios = list(cached)
-    lg = math.lgamma(rho * len(ratios) + mu)
-    for k in range(len(ratios), upto):
-        lg_next = math.lgamma(rho * (k + 1) + mu)
-        ratios.append((gamma_p + k) / (k + 1) * math.exp(lg - lg_next))
-        lg = lg_next
-    out = tuple(ratios)
-    _ratio_cache[key] = out
-    return out
+@functools.cache
+def _ratios(rho: float, mu: float, gamma_p: float) -> tuple[float, ...]:
+    """Term ratios r_k of the series, term_{k+1} = term_k * z * r_k, built
+    whole on first use of (rho, mu, gamma_p): TERM_CAP of them, or -gamma_p
+    (at most TERM_CAP) where a negative-integer gamma_p ends the series after
+    1 - gamma_p terms.  About 1 ms and 64 KB per triple, once."""
+    if not math.isfinite(gamma_p):
+        raise DomainError(f"Mittag-Leffler series requires finite gamma, got {gamma_p!r}")
+    n = min(int(-gamma_p), TERM_CAP) if gamma_p <= 0.0 and gamma_p == math.floor(gamma_p) else TERM_CAP
+    lg = [math.lgamma(rho * k + mu) for k in range(n + 1)]
+    return tuple((gamma_p + k) / (k + 1) * math.exp(lg[k] - lg[k + 1]) for k in range(n))
 
 
 def _sum_series(rho: float, mu: float, gamma_p: float, z: float) -> tuple[float, int, float]:
     """(value, terms used, largest term magnitude) of the series at z."""
-    # Negative-integer (or zero) gamma_p ends the series after 1-gamma_p terms.
-    n_ratios = int(-gamma_p) if gamma_p <= 0.0 and gamma_p == math.floor(gamma_p) else TERM_CAP
-    limit = min(n_ratios, TERM_CAP - 1)
-    ratios = _ratio_cache.get((rho, mu, gamma_p)) or _ratios(rho, mu, gamma_p, 64)
+    ratios = _ratios(rho, mu, gamma_p)
     isfinite, stop = math.isfinite, _REL_STOP
     term = math.exp(-math.lgamma(mu))
     total = max_term = term
     tiny = False
     k = 0
-    while True:
-        for r in ratios[k:limit]:
-            term = term * r * z
-            total += term
-            k += 1
-            if not isfinite(total):
-                raise ConvergenceError(
-                    f"Mittag-Leffler series overflowed at term {k} "
-                    f"(rho={rho:g}, mu={mu:g}, gamma={gamma_p:g}, z={z:g})"
-                )
-            a = abs(term)
-            if a > max_term:
-                max_term = a
-            # stop after two consecutive terms below 1e-16 of the sum
-            if a < stop * abs(total) or a == 0.0:
-                if tiny:
-                    return total, k + 1, max_term
-                tiny = True
-            else:
-                tiny = False
-        if k == limit:
-            break
-        ratios = _ratios(rho, mu, gamma_p, 2 * len(ratios))
-    if k == n_ratios:
+    for k, r in enumerate(islice(ratios, TERM_CAP - 1), 1):
+        term = term * r * z
+        total += term
+        if not isfinite(total):
+            raise ConvergenceError(
+                f"Mittag-Leffler series overflowed at term {k} "
+                f"(rho={rho:g}, mu={mu:g}, gamma={gamma_p:g}, z={z:g})"
+            )
+        a = abs(term)
+        if a > max_term:
+            max_term = a
+        # stop after two consecutive terms below 1e-16 of the sum
+        if a < stop * abs(total) or a == 0.0:
+            if tiny:
+                return total, k + 1, max_term
+            tiny = True
+        else:
+            tiny = False
+    if k == len(ratios):  # a truncated series ended
         return total, k + 1, max_term
     raise ConvergenceError(
         f"Mittag-Leffler series did not converge within {TERM_CAP} terms "
@@ -189,13 +175,11 @@ def ml_eval(p: MLParams, z: float) -> SeriesResult:
     )
 
 
-# key (rho, mu, gamma_p, band, z < 0) -> plan for ml_value, or () where the
-# band stays on the loop.  Stored atomically, like the ratio tables.
-_plan_cache: dict[tuple[float, float, float, int, bool], tuple] = {}
 _FLOOR_BAND = -105  # every |z| < 2^-26 shares this band: two or three terms
 _FLOOR = 2.0 ** ((_FLOOR_BAND + 1) / 4)
 
 
+@functools.cache
 def _plan(rho: float, mu: float, gamma_p: float, band: int, negative: bool) -> tuple:
     """Horner plan (coefficients c_{n-1} .. c_0, |c_n|, n, largest term) for
     the |z| band [2^(band/4), 2^((band+1)/4)) on one side of 0, built from
@@ -204,23 +188,22 @@ def _plan(rho: float, mu: float, gamma_p: float, band: int, negative: bool) -> t
     edge, or an edge where z^n, a coefficient or a Horner partial sum could
     leave the normal float range, so that ml_value needs no finiteness or
     overflow check per call."""
+    ratios = _ratios(rho, mu, gamma_p)  # raises DomainError for a non-finite gamma_p
+    if gamma_p <= 0.0 and gamma_p == math.floor(gamma_p):
+        return ()
     edge = min(2.0 ** ((band + 1) / 4), Z_MAX)
-    plan: tuple = ()
-    if not (gamma_p <= 0.0 and gamma_p == math.floor(gamma_p)):
-        try:
-            _, n, max_term = _sum_series(rho, mu, gamma_p, -edge if negative else edge)
-        except ConvergenceError:
-            n = 0
-        if 0 < n and n * math.log(edge) < 700.0 and n * max_term < 1e300:
-            ratios = _ratios(rho, mu, gamma_p, n)[:n]
-            coeffs = list(accumulate(ratios, operator.mul, initial=math.exp(-math.lgamma(mu))))
-            sizes = list(map(abs, coeffs))
-            # a Horner partial sum is at most n max|c_k| for |z| <= 1 and
-            # n max_term past 1: both finite here, so every value is
-            if 1e-290 < min(sizes) and n * max(sizes) < 1e300:
-                plan = (tuple(reversed(coeffs[:-1])), sizes[-1], n, max_term)
-    _plan_cache[(rho, mu, gamma_p, band, negative)] = plan
-    return plan
+    try:
+        _, n, max_term = _sum_series(rho, mu, gamma_p, -edge if negative else edge)
+    except ConvergenceError:
+        return ()
+    if n * math.log(edge) < 700.0 and n * max_term < 1e300:
+        coeffs = list(accumulate(ratios[:n], operator.mul, initial=math.exp(-math.lgamma(mu))))
+        sizes = list(map(abs, coeffs))
+        # a Horner partial sum is at most n max|c_k| for |z| <= 1 and
+        # n max_term past 1: both finite here, so every value is
+        if 1e-290 < min(sizes) and n * max(sizes) < 1e300:
+            return tuple(reversed(coeffs[:-1])), sizes[-1], n, max_term
+    return ()
 
 
 def ml_value(rho: float, mu: float, gamma_p: float, z: float) -> float:
@@ -228,21 +211,19 @@ def ml_value(rho: float, mu: float, gamma_p: float, z: float) -> float:
 
     Sums the first n terms by Horner's rule over cached coefficients, n being
     the term count the loop needs at the outer edge of z's quarter-octave |z|
-    band.  The loop answers instead where the first omitted term exceeds
-    1e-16 of that sum, or where the band's largest term, taken at its edge,
-    breaks the cancellation bound for that sum; so the loop decides every
-    refusal.  Raises ConvergenceError where cancellation may have cost more
-    than 1e-6 of the value: eps times the largest term exceeds that, the
-    bound at which :func:`ml_eval` sets ``precision_flag``."""
+    band; a triple's first call builds its whole ratio table (about 1 ms).
+    The loop answers instead where the first omitted term exceeds 1e-16 of
+    that sum, or where the band's largest term, taken at its edge, breaks the
+    cancellation bound for that sum; so the loop decides every refusal.
+    Raises ConvergenceError where cancellation may have cost more than 1e-6
+    of the value: eps times the largest term exceeds that, the bound at
+    which :func:`ml_eval` sets ``precision_flag``."""
     z = float(z)
     az = abs(z)
     if not az <= Z_MAX:  # also rejects nan
         raise DomainError(f"ml_value working domain is |z| <= {Z_MAX:g}, got z={z!r}")
     band = math.floor(4.0 * math.log2(az)) if az >= _FLOOR else _FLOOR_BAND
-    negative = z < 0.0
-    plan = _plan_cache.get((rho, mu, gamma_p, band, negative))
-    if plan is None:
-        plan = _plan(rho, mu, gamma_p, band, negative)
+    plan = _plan(rho, mu, gamma_p, band, z < 0.0)
     if plan:
         coeffs, tail, n, max_term = plan
         value = 0.0

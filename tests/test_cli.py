@@ -96,6 +96,13 @@ class TestMlCommand:
             assert plain.returncode == 3
             assert float(plain.stdout) == payload["value"]
 
+    @pytest.mark.parametrize("gamma", ["inf", "-inf", "nan"])
+    def test_non_finite_gamma_is_numeric_error(self, gamma):
+        p = mlfrac("ml", "--rho", "0.5", "--mu", "1", f"--gamma={gamma}", "--z", "0.5")
+        assert p.returncode == 3
+        assert p.stderr == f"error: MLParams requires finite gamma_p, got {float(gamma)!r}\n"
+        assert p.stdout == ""
+
 
 class TestGridCommands:
     def test_ab_left_csv_matches_closed_form(self):
@@ -257,6 +264,16 @@ class TestVerifyCommand:
         # no placeholder value: both sides are null and the error says why
         assert payload["lhs"] is None and payload["rhs"] is None
         assert payload["error"].startswith(error)
+
+    @pytest.mark.parametrize("argv", [
+        ("convolution", "--sigma=-inf"), ("convolution", "--sigma=nan"), ("diff-formula", "--gamma-p=inf"),
+    ])
+    def test_report_failed_on_a_non_finite_third_parameter(self, argv):
+        p = mlfrac("verify", "--id", *argv)
+        assert p.returncode == 1, p.stderr
+        payload = json.loads(p.stdout)
+        assert payload["lhs"] is None and payload["rhs"] is None
+        assert payload["error"].startswith("DomainError: Mittag-Leffler series requires finite gamma")
 
     def test_failed_check_never_passes_any_tolerance(self):
         failing = ("verify", "--id", "caputo-rl", "--fn", "1/(x-0.5)")

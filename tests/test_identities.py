@@ -144,6 +144,16 @@ class TestCaputoRlRelation:
         assert gaps[1] <= 0.35 * gaps[0]
         assert gaps[2] <= 0.35 * gaps[1]
 
+    @pytest.mark.parametrize("h", [0.0, -5e-4, math.nan, math.inf])
+    def test_step_that_is_not_positive_and_finite_raises_before_any_side(self, h):
+        calls = []
+        f = RealFunction(fn=lambda x: calls.append(x) or x * x, a=0.0, b=1.0)
+        with pytest.raises(DomainError, match="finite step h > 0"):
+            verify_caputo_rl_relation(f, HALF, h=h)
+        with pytest.raises(DomainError, match="finite step h > 0"):
+            verify_caputo_rl_relation(X_SQ, HALF, h=h)
+        assert calls == []
+
 
 class TestInverseFundamental:
     def test_linear_left(self):

@@ -283,6 +283,16 @@ class TestAbrDerivative:
                         want = abr_derivative(side, f, o, t, tight)
                         assert abs(got - want) <= 1e-6, (o.alpha, side, t)
 
+    @pytest.mark.parametrize("h", [0.0, -5e-4, math.nan, math.inf])
+    def test_kernel_diff_refuses_a_step_that_is_not_positive_and_finite(self, h):
+        calls = []
+        f = rf(lambda x: calls.append(x) or x)
+        for side in (Side.Left, Side.Right):
+            for t in (0.5, 1.0):
+                with pytest.raises(DomainError, match="finite h > 0"):
+                    abr_derivative_kernel_diff(side, f, HALF, t, h=h)
+        assert calls == []  # refused before K is sampled, so never past [a, b]
+
 
 class TestRlDerivative:
     def test_power_rule(self):

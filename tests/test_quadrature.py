@@ -27,6 +27,14 @@ def test_golden_integrand():
     assert abs(adaptive_gl(f, 0.0, 1.0, tight) - GOLDEN) <= 1e-12
 
 
+@pytest.mark.parametrize("bad", [0.0, -1e-10, math.nan, math.inf])
+def test_quad_config_requires_finite_positive_tolerances(bad):
+    # a nan or inf tolerance would stop adaptive_gl after its first panel
+    for cfg in ({"abs_tol": bad}, {"rel_tol": bad}):
+        with pytest.raises(DomainError, match="finite and positive"):
+            QuadConfig(**cfg)
+
+
 def test_panel_rule_exactness():
     # K15 is exact to degree 22; G7 only to degree 13, so |K15 - G7| first
     # opens at x^14.  Guards the hard-coded node and weight table.

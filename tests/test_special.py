@@ -1,3 +1,4 @@
+import contextlib
 import math
 import random
 import sys
@@ -279,7 +280,7 @@ def test_ml_value_with_huge_coefficients_matches_the_loop(rho, g, z):
     assert abs(ml_value(rho, 1.0, g, z) - r.value) <= 4 * r.terms_used * EPS * r.max_term_magnitude
 
 
-def test_ml_value_first_calls_from_threads_match_serial_calls(monkeypatch):
+def test_ml_value_first_calls_from_threads_match_serial_calls():
     triples = [(0.3 + 0.01 * i, 0.7 + 0.02 * i, 1.0) for i in range(6)]
     zs = [-8.0 * j / 40 for j in range(41)] + [0.5, 1.5]
 
@@ -292,8 +293,8 @@ def test_ml_value_first_calls_from_threads_match_serial_calls(monkeypatch):
     def values():
         return [[value_or_error(p, z) for z in zs] for p in triples]
 
-    monkeypatch.setattr(special, "_ratio_cache", {})
-    monkeypatch.setattr(special, "_plan_cache", {})
+    special._ratios.cache_clear()
+    special._plan.cache_clear()
     start = threading.Barrier(4)
     results = [None] * 4
 
@@ -312,7 +313,30 @@ def test_ml_value_first_calls_from_threads_match_serial_calls(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
-    monkeypatch.setattr(special, "_ratio_cache", {})
-    monkeypatch.setattr(special, "_plan_cache", {})
+    special._ratios.cache_clear()
+    special._plan.cache_clear()
     serial = values()
     assert all(r == serial for r in results)
+
+
+@pytest.mark.parametrize("g, length", [(1.0, TERM_CAP), (0.6, TERM_CAP), (0.0, 0), (-5.0, 5), (-3000.0, TERM_CAP)])
+def test_a_known_triple_builds_no_new_ratio_table(g, length):
+    rho, mu = 0.37, 1.13  # a triple no other test uses
+    ml_value(rho, mu, g, -0.3)
+    ml_eval(MLParams(rho, mu, g), 0.2)
+    misses = special._ratios.cache_info().misses
+    for z in (-2.5, 0.7, 1e-9, 0.0):
+        for call in (lambda: ml_value(rho, mu, g, z), lambda: ml_eval(MLParams(rho, mu, g), z)):
+            with contextlib.suppress(ConvergenceError):
+                call()
+    assert special._ratios.cache_info().misses == misses
+    assert len(special._ratios(rho, mu, g)) == length
+
+
+@pytest.mark.parametrize("g", [math.inf, -math.inf, math.nan])
+def test_non_finite_third_parameter_is_a_domain_error(g):
+    with pytest.raises(DomainError, match="finite gamma"):
+        MLParams(0.5, 1.0, g)
+    for z in (0.5, -3.0, 0.0):
+        with pytest.raises(DomainError, match="finite gamma"):
+            ml_value(0.5, 1.0, g, z)
