@@ -10,12 +10,13 @@ log-gamma differences, so the series stays in floating-point range far
 past the overflow point of Gamma itself.  Each (rho, mu, gamma) gets its
 ratio table built whole on first use (about 1 ms and 64 KB) and cached.
 ``ml_eval`` walks that table term by term in one loop.  ``ml_value``, the
-operators' kernel, sums the same series by Horner's rule over coefficients
-cached per quarter-octave |z| band and sign of z, with as many terms as the
-loop needs at the band's outer edge, and hands a z to the loop where that
-sum fails its checks (see :func:`ml_value`).  One cancellation rule serves
-both: a value has lost its digits iff eps times the largest term exceeds
-1e-6 of it, where ``ml_eval`` sets ``precision_flag`` and ``ml_value`` raises.
+operators' kernel, sums per quarter-octave |z| band and sign of z the terms
+the loop needs at the band's outer edge, re-expanded once about the band's
+midpoint into about ten coefficients, by Horner's rule, and hands z to the
+loop where that sum falls below the band's floor (see :func:`_plan`).  One
+cancellation rule serves both: a value has lost its digits iff eps times
+the largest term exceeds 1e-6 of it, where ``ml_eval`` sets
+``precision_flag`` and ``ml_value`` raises.
 
 ``exp_sum_kernel`` gives the operator kernel E_alpha(lam s^alpha), lam < 0,
 as an exact sum of decaying exponentials instead.  For 0 < alpha < 1 the
@@ -85,12 +86,20 @@ class MLParams:
     gamma_p: float = 1.0
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.rho < math.inf):
-            raise DomainError(f"MLParams requires finite rho > 0, got {self.rho!r}")
-        if not (0.0 < self.mu < math.inf):
-            raise DomainError(f"MLParams requires finite mu > 0, got {self.mu!r}")
-        if not (-math.inf < self.gamma_p < math.inf):
-            raise DomainError(f"MLParams requires finite gamma_p, got {self.gamma_p!r}")
+        _check_params("MLParams", self.rho, self.mu, self.gamma_p)
+
+
+def _check_params(owner: str, rho: float, mu: float, gamma_p: float) -> None:
+    """DomainError unless rho, mu > 0 and gamma_p are finite and every
+    log-gamma argument rho k + mu, k <= TERM_CAP, is below 1e305."""
+    if not (0.0 < rho < math.inf):
+        raise DomainError(f"{owner} requires finite rho > 0, got {rho!r}")
+    if not (0.0 < mu < math.inf):
+        raise DomainError(f"{owner} requires finite mu > 0, got {mu!r}")
+    if not (-math.inf < gamma_p < math.inf):
+        raise DomainError(f"{owner} requires finite gamma_p, got {gamma_p!r}")
+    if not rho * TERM_CAP + mu < 1e305:  # lgamma overflows past about 2.5e305
+        raise DomainError(f"{owner} requires rho * {TERM_CAP} + mu < 1e305, got rho={rho!r}, mu={mu!r}")
 
 
 @dataclass(frozen=True)
@@ -113,9 +122,9 @@ def _ratios(rho: float, mu: float, gamma_p: float) -> tuple[float, ...]:
     """Term ratios r_k of the series, term_{k+1} = term_k * z * r_k, built
     whole on first use of (rho, mu, gamma_p): TERM_CAP of them, or -gamma_p
     (at most TERM_CAP) where a negative-integer gamma_p ends the series after
-    1 - gamma_p terms.  About 1 ms and 64 KB per triple, once."""
-    if not math.isfinite(gamma_p):
-        raise DomainError(f"Mittag-Leffler series requires finite gamma, got {gamma_p!r}")
+    1 - gamma_p terms.  About 1 ms and 64 KB per triple, once; parameters
+    that fail :func:`_check_params` raise DomainError and cache nothing."""
+    _check_params("Mittag-Leffler series", rho, mu, gamma_p)
     n = min(int(-gamma_p), TERM_CAP) if gamma_p <= 0.0 and gamma_p == math.floor(gamma_p) else TERM_CAP
     lg = [math.lgamma(rho * k + mu) for k in range(n + 1)]
     return tuple((gamma_p + k) / (k + 1) * math.exp(lg[k] - lg[k + 1]) for k in range(n))
@@ -181,14 +190,19 @@ _FLOOR = 2.0 ** ((_FLOOR_BAND + 1) / 4)
 
 @functools.cache
 def _plan(rho: float, mu: float, gamma_p: float, band: int, negative: bool) -> tuple:
-    """Horner plan (coefficients c_{n-1} .. c_0, |c_n|, n, largest term) for
-    the |z| band [2^(band/4), 2^((band+1)/4)) on one side of 0, built from
-    the loop's answer at the band's outer edge.  The empty plan () sends the
-    band to the loop: a negative-integer gamma_p, a loop that raises at the
-    edge, or an edge where z^n, a coefficient or a Horner partial sum could
-    leave the normal float range, so that ml_value needs no finiteness or
-    overflow check per call."""
-    ratios = _ratios(rho, mu, gamma_p)  # raises DomainError for a non-finite gamma_p
+    """Horner plan (d_{K-1} .. d_0, z_c, floor) for the |z| band
+    [2^(band/4), 2^((band+1)/4)) on one side of 0: the n terms the loop needs
+    at the band's outer edge, re-expanded about the band's midpoint z_c by
+    repeated synthetic division (pass k gives the Taylor coefficient d_k)
+    until two consecutive |d_k| delta^k, delta the half-width, are below
+    1e-17 of the floor.  ml_value accepts a sum iff |value| >= floor =
+    max(|c_n| edge^n / 1e-16, max_term / _CANCEL_LIMIT): there the first
+    omitted term and the largest term, both at the edge, pass the loop's stop
+    rule and its cancellation bound.  The empty plan () sends the band to the
+    loop: a negative-integer gamma_p, a loop that raises at the edge, or an
+    edge where z^n, a coefficient or a Horner partial sum could leave the
+    normal float range, so that ml_value needs no such check per call."""
+    ratios = _ratios(rho, mu, gamma_p)  # raises DomainError for bad parameters
     if gamma_p <= 0.0 and gamma_p == math.floor(gamma_p):
         return ()
     edge = min(2.0 ** ((band + 1) / 4), Z_MAX)
@@ -196,25 +210,38 @@ def _plan(rho: float, mu: float, gamma_p: float, band: int, negative: bool) -> t
         _, n, max_term = _sum_series(rho, mu, gamma_p, -edge if negative else edge)
     except ConvergenceError:
         return ()
-    if n * math.log(edge) < 700.0 and n * max_term < 1e300:
-        coeffs = list(accumulate(ratios[:n], operator.mul, initial=math.exp(-math.lgamma(mu))))
-        sizes = list(map(abs, coeffs))
-        # a Horner partial sum is at most n max|c_k| for |z| <= 1 and
-        # n max_term past 1: both finite here, so every value is
-        if 1e-290 < min(sizes) and n * max(sizes) < 1e300:
-            return tuple(reversed(coeffs[:-1])), sizes[-1], n, max_term
+    coeffs = list(accumulate(ratios[:n], operator.mul, initial=math.exp(-math.lgamma(mu))))
+    if not (n * math.log(edge) < 700.0 and n * max_term < 1e300 and 1e-290 < min(map(abs, coeffs))):
+        return ()
+    floor = max(abs(coeffs.pop()) * edge**n / _REL_STOP, max_term / _CANCEL_LIMIT)
+    lo = 0.0 if band == _FLOOR_BAND else 2.0 ** (band / 4)
+    half, centre = (edge - lo) / 2, (edge + lo) / (-2 if negative else 2)
+    tiny = False
+    for j in range(n):  # pass j leaves d_j in coeffs[j]
+        for k in range(n - 2, j - 1, -1):
+            coeffs[k] += centre * coeffs[k + 1]
+        small = abs(coeffs[j]) * half**j < 1e-17 * floor
+        if small and tiny:  # drop both: each is below 1e-17 of any value accepted
+            del coeffs[j - 1 :]
+            break
+        tiny = small
+    # with |u| <= half, this sum bounds every Horner partial sum in u = z - z_c
+    if sum(abs(d) * max(1.0, half) ** j for j, d in enumerate(coeffs)) < 1e300:
+        return tuple(reversed(coeffs)), centre, floor
     return ()
 
 
 def ml_value(rho: float, mu: float, gamma_p: float, z: float) -> float:
     """Series value, for the operator kernels' hot loops.
 
-    Sums the first n terms by Horner's rule over cached coefficients, n being
-    the term count the loop needs at the outer edge of z's quarter-octave |z|
-    band; a triple's first call builds its whole ratio table (about 1 ms).
-    The loop answers instead where the first omitted term exceeds 1e-16 of
-    that sum, or where the band's largest term, taken at its edge, breaks the
-    cancellation bound for that sum; so the loop decides every refusal.
+    Sums the plan of z's quarter-octave |z| band (see :func:`_plan`), about
+    ten coefficients of the series re-expanded about the band's midpoint,
+    by Horner's rule in z minus that midpoint; a triple's first call builds
+    its whole ratio table (about 1 ms), a band's first call its plan.  The
+    loop answers instead where the sum is below the band's floor: where the
+    first omitted term or the largest term, both taken at the band's outer
+    edge, breaks the loop's stop rule or its cancellation bound for that
+    sum; so the loop decides every refusal.
     Raises ConvergenceError where cancellation may have cost more than 1e-6
     of the value: eps times the largest term exceeds that, the bound at
     which :func:`ml_eval` sets ``precision_flag``."""
@@ -225,12 +252,12 @@ def ml_value(rho: float, mu: float, gamma_p: float, z: float) -> float:
     band = math.floor(4.0 * math.log2(az)) if az >= _FLOOR else _FLOOR_BAND
     plan = _plan(rho, mu, gamma_p, band, z < 0.0)
     if plan:
-        coeffs, tail, n, max_term = plan
+        coeffs, centre, floor = plan
+        u = z - centre
         value = 0.0
         for c in coeffs:
-            value = value * z + c
-        size = abs(value)
-        if tail * az**n <= _REL_STOP * size and max_term <= _CANCEL_LIMIT * size:
+            value = value * u + c
+        if abs(value) >= floor:
             return value
     value, _, max_term = _sum_series(rho, mu, gamma_p, z)
     if max_term > _CANCEL_LIMIT * abs(value):

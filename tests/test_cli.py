@@ -96,6 +96,14 @@ class TestMlCommand:
             assert plain.returncode == 3
             assert float(plain.stdout) == payload["value"]
 
+    @pytest.mark.parametrize("rho, mu", [("1e303", "1"), ("0.5", "1e306")])
+    def test_rho_or_mu_past_the_log_gamma_range_is_numeric_error(self, rho, mu):
+        p = mlfrac("ml", "--rho", rho, "--mu", mu, "--z", "0.5")
+        assert p.returncode == 3
+        want = f"MLParams requires rho * 2000 + mu < 1e305, got rho={float(rho)!r}, mu={float(mu)!r}"
+        assert p.stderr == f"error: {want}\n"
+        assert p.stdout == ""
+
     @pytest.mark.parametrize("gamma", ["inf", "-inf", "nan"])
     def test_non_finite_gamma_is_numeric_error(self, gamma):
         p = mlfrac("ml", "--rho", "0.5", "--mu", "1", f"--gamma={gamma}", "--z", "0.5")

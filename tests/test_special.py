@@ -1,6 +1,7 @@
 import contextlib
 import math
 import random
+import re
 import sys
 import threading
 
@@ -283,6 +284,7 @@ def test_ml_value_with_huge_coefficients_matches_the_loop(rho, g, z):
 def test_ml_value_first_calls_from_threads_match_serial_calls():
     triples = [(0.3 + 0.01 * i, 0.7 + 0.02 * i, 1.0) for i in range(6)]
     zs = [-8.0 * j / 40 for j in range(41)] + [0.5, 1.5]
+    zs += [s * 2.0 ** (j / 4) for j in range(-8, 13) for s in (-1.0, 1.0)]  # band edges
 
     def value_or_error(p, z):
         try:
@@ -340,3 +342,55 @@ def test_non_finite_third_parameter_is_a_domain_error(g):
     for z in (0.5, -3.0, 0.0):
         with pytest.raises(DomainError, match="finite gamma"):
             ml_value(0.5, 1.0, g, z)
+
+
+@pytest.mark.parametrize("rho, mu", [(-0.01, 1.0), (0.5, 0.0), (math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0)])
+def test_bad_rho_or_mu_is_a_domain_error_that_caches_nothing(rho, mu):
+    size = special._ratios.cache_info().currsize
+    for z in (0.1, -0.3, 0.0):
+        with pytest.raises(DomainError, match="rho > 0" if not 0 < rho < math.inf else "mu > 0"):
+            ml_value(rho, mu, 1.0, z)
+    assert special._ratios.cache_info().currsize == size
+
+
+@pytest.mark.parametrize("rho, mu", [(1e303, 1.0), (0.5, 1e306)])
+def test_rho_or_mu_past_the_log_gamma_range_is_a_domain_error(rho, mu):
+    # lgamma(rho k + mu) overflows past about 2.5e305
+    for call in (lambda: ml_eval(MLParams(rho, mu), 0.5), lambda: ml_value(rho, mu, 1.0, 0.5)):
+        with pytest.raises(DomainError, match=r"rho \* 2000 \+ mu < 1e305"):
+            call()
+    assert ml_value(rho / 1e4, mu / 1e4, 1.0, 0.5) == ml_eval(MLParams(rho / 1e4, mu / 1e4), 0.5).value
+
+
+def _band_points(b):
+    """The inner edge, centre and last float of |z| band b, both signs."""
+    lo = 0.0 if b == special._FLOOR_BAND else 2.0 ** (b / 4)
+    hi = min(2.0 ** ((b + 1) / 4), special.Z_MAX)
+    return [s * x for x in (lo, 0.5 * (lo + hi), math.nextafter(hi, 0.0)) for s in (1.0, -1.0)]
+
+
+@pytest.mark.parametrize("alpha, mu", [(alpha, mu) for alpha in (0.25, 0.5, 0.75, 0.9) for mu in (alpha, 1.0)])
+def test_band_plans_are_short_and_ml_value_raises_exactly_where_the_loop_raises(alpha, mu):
+    # the operators reach |z| <= alpha / (1 - alpha) on [0, 1]
+    top = math.floor(4.0 * math.log2(alpha / (1.0 - alpha)))
+    raised = 0
+    for b in range(special._FLOOR_BAND, 27):
+        if b <= top:
+            coeffs, _, _ = special._plan(alpha, mu, 1.0, b, True)
+            assert len(coeffs) <= 20, (b, len(coeffs))
+        for z in _band_points(b):
+            try:
+                r = ml_eval(MLParams(alpha, mu), z)
+            except ConvergenceError as exc:
+                raised += 1
+                with pytest.raises(ConvergenceError, match=re.escape(str(exc))):
+                    ml_value(alpha, mu, 1.0, z)
+                continue
+            if r.precision_flag:
+                raised += 1
+                with pytest.raises(ConvergenceError, match="cancellation"):
+                    ml_value(alpha, mu, 1.0, z)
+            else:
+                got = ml_value(alpha, mu, 1.0, z)
+                assert abs(got - r.value) <= 4 * r.terms_used * EPS * r.max_term_magnitude, z
+    assert raised > 0
