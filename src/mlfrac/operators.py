@@ -157,7 +157,7 @@ def rl_integral(
     if not f.contains(t):
         raise DomainError(f"t={t!r} outside [{f.a!r}, {f.b!r}]")
     a = ord_.alpha
-    return power_quad(f.fn, side.anchor(f), t, a, a, cfg, breaks=f.breaks) / math.gamma(a)
+    return power_quad(f.fn, side.anchor(f), t, a, a, cfg, breaks=f.breaks, cusp=f.cusp) / math.gamma(a)
 
 
 def ab_integral(
@@ -208,11 +208,11 @@ def abr_derivative_kernel_diff(
     anchored range directly in tau.  Slower and step-limited, but shares no
     operator code with :func:`abr_derivative` (f + lam P with the E_{a,a}
     kernel); used by the identity checks.  Both integrate through
-    :func:`power_quad`, which only grades the variable: here K is split at
-    the midpoint of its range, the half at tau graded for the kernel's
-    |tau - x|^a cusp and the half at the anchor for the dist^a cusp of an
-    operand that is itself an operator output.  Needs f bounded (not
-    differentiable), so it also covers integrable anchor singularities.
+    :func:`power_quad`, which grades the kernel's |tau - x|^a cusp at tau;
+    K also declares the dist^a cusp that an operand which is itself an
+    operator output has at the anchor, so the half of its range there is
+    graded for it.  Needs f bounded (not differentiable), so it also covers
+    integrable anchor singularities.
     """
     lam, alpha, scale = ord_.lam, ord_.alpha, ord_.scale
     if not (0.0 < h < math.inf):
@@ -223,14 +223,8 @@ def abr_derivative_kernel_diff(
     anchor, sign = side.anchor(f), side.sign
 
     def kernel_integral(tau: float) -> float:
-        mid = 0.5 * (anchor + tau)
-        near_tau = power_quad(f.fn, mid, tau, 1.0, alpha, cfg, lambda z: ml_one(alpha, lam * z),
-                              breaks=f.breaks)
-        near_anchor = power_quad(
-            lambda x: f.fn(x) * ml_one(alpha, lam * abs(tau - x) ** alpha),
-            mid, anchor, 1.0, alpha, cfg, breaks=f.breaks,
-        )
-        return near_tau + near_anchor
+        return power_quad(f.fn, anchor, tau, 1.0, alpha, cfg, lambda z: ml_one(alpha, lam * z),
+                          breaks=f.breaks, cusp=(anchor, alpha))
 
     return sign * scale * (kernel_integral(t + h) - kernel_integral(t - h)) / (2.0 * h)
 
@@ -263,7 +257,8 @@ def rl_derivative(
 
 
 def q_reflect(f: RealFunction) -> RealFunction:
-    """Reflection (Qf)(t) = f(a+b-t) on the same interval; breaks map to a+b-x."""
+    """Reflection (Qf)(t) = f(a+b-t) on the same interval; breaks map to a+b-x
+    and a cusp to the other end."""
     s = f.a + f.b
     deriv = None
     if f.deriv is not None:
@@ -271,8 +266,9 @@ def q_reflect(f: RealFunction) -> RealFunction:
         deriv = lambda t: -fd(s - t)
     label = f"Q[{f.label}]" if f.label else "Q[f]"
     breaks = tuple(s - x for x in reversed(f.breaks))
+    cusp = f.cusp and (f.b if f.cusp[0] == f.a else f.a, f.cusp[1])
     return RealFunction(fn=lambda t: f.fn(s - t), a=f.a, b=f.b, deriv=deriv, label=label,
-                        breaks=breaks)
+                        breaks=breaks, cusp=cusp)
 
 
 def gen_ml_integral(
@@ -293,5 +289,5 @@ def gen_ml_integral(
     rho, mu, gp = p.rho, p.mu, p.gamma_p
     return power_quad(
         f.fn, side.anchor(f), x, mu, rho, cfg, lambda z: ml_value(rho, mu, gp, omega * z),
-        breaks=f.breaks,
+        breaks=f.breaks, cusp=f.cusp,
     )

@@ -16,7 +16,9 @@ integral behind both ML-kernel derivatives use it.  An anchor below t gives
 the left integral, one above t the right one.  Breakpoints the operand
 declares (``RealFunction.breaks``, the nodes of a grid interpolant) split the
 range, as QUADPACK's QAGP does: each piece between them is one adaptive call,
-so no panel straddles a known kink.
+so no panel straddles a known kink.  A cusp the operand declares at the
+anchor (``RealFunction.cusp``) is graded there as well; none is assumed,
+since grading both ends would double the work on smooth operands.
 """
 
 from __future__ import annotations
@@ -58,7 +60,9 @@ class RealFunction:
 
     ``breaks`` lists points where fn or deriv is not smooth (a kink or jump),
     such as the interior nodes of a piecewise-linear interpolant; the
-    operators integrate each piece between them on its own.
+    operators integrate each piece between them on its own.  ``cusp`` = (c,
+    rho), c = a or b, says fn is a power series in |s - c|^rho near c, as an
+    operator image is at its anchor; an integral anchored at c is graded there.
     """
 
     fn: Callable[[float], float]
@@ -67,10 +71,13 @@ class RealFunction:
     deriv: Callable[[float], float] | None = None
     label: str = ""
     breaks: tuple[float, ...] = ()
+    cusp: tuple[float, float] | None = None
 
     def __post_init__(self) -> None:
         if not (-math.inf < self.a < self.b < math.inf):
             raise DomainError(f"RealFunction needs finite a < b, got [{self.a!r}, {self.b!r}]")
+        if self.cusp is not None and not (self.cusp[0] in (self.a, self.b) and 0.0 < self.cusp[1] < math.inf):
+            raise DomainError(f"RealFunction cusp (c, rho) needs c = a or b, finite rho > 0, got {self.cusp!r}")
 
     def __call__(self, t: float) -> float:
         return self.fn(t)
@@ -183,7 +190,7 @@ def _grading(mu: float, rho: float) -> tuple[float, int, float]:
 def power_quad(
     fn: Callable[[float], float], anchor: float, t: float, mu: float, rho: float,
     cfg: QuadConfig | None = None, kernel: Callable[[float], float] | None = None,
-    breaks: tuple[float, ...] = (),
+    breaks: tuple[float, ...] = (), cusp: tuple[float, float] | None = None,
 ) -> float:
     """Integral between anchor and t of d^(mu-1) K(d^rho) fn(s) ds, d = |t-s|,
     with K = kernel, or 1 when kernel is None.
@@ -201,10 +208,25 @@ def power_quad(
     abs_tol/k and the unchanged rel_tol, and the pieces are summed with
     math.fsum, so the summed error is at most abs_tol + rel_tol times the sum
     of the pieces' magnitudes.  With no break inside, it is one call.
+
+    A cusp (c, rho_c) with c = anchor splits the range at its midpoint, each
+    half at the whole cfg: the half at t as above, the half at the anchor as
+    the integral of d^(mu-1) K(d^rho) fn(s), smooth in d there, graded at the
+    anchor by power_quad(..., 1.0, rho_c).  A cusp at the other end takes the
+    path above unchanged.
     """
     p, m, k = _grading(mu, rho)  # first, so that an unresolvable order fails at t = anchor too
     if t == anchor:
         return 0.0
+    if cusp is not None and cusp[0] == anchor:
+        mid = 0.5 * (anchor + t)
+
+        def near_anchor(s: float) -> float:
+            d = abs(t - s)
+            return d ** (mu - 1.0) * (kernel(d**rho) if kernel else 1.0) * fn(s)
+
+        return (power_quad(fn, mid, t, mu, rho, cfg, kernel, breaks)
+                + power_quad(near_anchor, mid, anchor, 1.0, cusp[1], cfg, breaks=breaks))
     sign = 1.0 if anchor < t else -1.0
     lo, hi = min(anchor, t), max(anchor, t)
 

@@ -43,6 +43,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from itertools import accumulate, islice
 
@@ -123,8 +124,12 @@ def _ratios(rho: float, mu: float, gamma_p: float) -> tuple[float, ...]:
     whole on first use of (rho, mu, gamma_p): TERM_CAP of them, or -gamma_p
     (at most TERM_CAP) where a negative-integer gamma_p ends the series after
     1 - gamma_p terms.  About 1 ms and 64 KB per triple, once; parameters
-    that fail :func:`_check_params` raise DomainError and cache nothing."""
+    that fail :func:`_check_params`, or a subnormal mu, raise DomainError and
+    cache nothing."""
     _check_params("Mittag-Leffler series", rho, mu, gamma_p)
+    if mu < sys.float_info.min:  # the first ratio, Gamma(mu)/Gamma(rho+mu) ~ 1/mu, overflows
+        raise DomainError(f"Mittag-Leffler series requires mu >= {sys.float_info.min!r}, "
+                          f"the smallest normal float, got {mu!r}")
     n = min(int(-gamma_p), TERM_CAP) if gamma_p <= 0.0 and gamma_p == math.floor(gamma_p) else TERM_CAP
     lg = [math.lgamma(rho * k + mu) for k in range(n + 1)]
     return tuple((gamma_p + k) / (k + 1) * math.exp(lg[k] - lg[k + 1]) for k in range(n))

@@ -104,6 +104,13 @@ class TestMlCommand:
         assert p.stderr == f"error: {want}\n"
         assert p.stdout == ""
 
+    def test_subnormal_mu_is_numeric_error(self):
+        p = mlfrac("ml", "--rho", "1", "--mu", "1e-310", "--z", "0.5")
+        assert p.returncode == 3
+        want = f"Mittag-Leffler series requires mu >= {sys.float_info.min!r}, the smallest normal float, got 1e-310"
+        assert p.stderr == f"error: {want}\n"
+        assert p.stdout == ""
+
     @pytest.mark.parametrize("gamma", ["inf", "-inf", "nan"])
     def test_non_finite_gamma_is_numeric_error(self, gamma):
         p = mlfrac("ml", "--rho", "0.5", "--mu", "1", f"--gamma={gamma}", "--z", "0.5")

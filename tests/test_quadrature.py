@@ -7,7 +7,7 @@ import pytest
 
 from mlfrac import quadrature
 from mlfrac.errors import DepthExceeded, DomainError, NonFiniteIntegrand
-from mlfrac.operators import FracOrder, Side, rl_integral
+from mlfrac.operators import FracOrder, Side, q_reflect, rl_integral
 from mlfrac.quadrature import QuadConfig, RealFunction, adaptive_gl, central_diff, power_quad
 
 GOLDEN = 1.0 / 12.0 + 8.0 / (105.0 * math.sqrt(math.pi))
@@ -251,3 +251,61 @@ def test_power_quad_without_an_interior_break_is_one_call(monkeypatch):
         with_breaks = power_quad(f, anchor, 1.0, 0.5, 0.5, breaks=breaks)
         assert with_breaks == power_quad(f, anchor, 1.0, 0.5, 0.5)
     assert len(calls) == 6
+
+
+def _counted(fn):
+    """fn and a list that grows by one entry per call of it."""
+    calls = []
+    return (lambda s: calls.append(s) or fn(s)), calls
+
+
+@pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75])
+def test_rl_integral_is_graded_at_a_declared_anchor_cusp(alpha):
+    # I^a sqrt(s) = Gamma(1.5)/Gamma(1.5+a) t^(0.5+a); the declared cusp at the
+    # anchor is graded, where the undeclared one is bisected toward
+    for t in (0.1, 0.3, 0.6, 1.0):
+        want = math.gamma(1.5) / math.gamma(1.5 + alpha) * t ** (0.5 + alpha)
+        fn, declared = _counted(math.sqrt)
+        sqrt = RealFunction(fn, 0.0, 1.0, cusp=(0.0, 0.5))
+        assert abs(rl_integral(Side.Left, sqrt, FracOrder(alpha), t) - want) <= 1e-14
+        fn, undeclared = _counted(math.sqrt)
+        rl_integral(Side.Left, RealFunction(fn, 0.0, 1.0), FracOrder(alpha), t)
+        assert 3 * len(declared) <= len(undeclared)
+        mirrored = rl_integral(Side.Right, q_reflect(sqrt), FracOrder(alpha), 1.0 - t)
+        assert abs(mirrored - want) <= 1e-14
+
+
+def test_power_quad_splits_a_cusp_at_the_anchor_into_two_halves(monkeypatch):
+    calls = []
+    real = quadrature.adaptive_gl
+    monkeypatch.setattr(quadrature, "adaptive_gl", lambda *a: calls.append(a[1:]) or real(*a))
+    cfg = QuadConfig(1e-10, 1e-10)
+    got = power_quad(math.sqrt, 0.0, 1.0, 0.5, 0.5, cfg, cusp=(0.0, 0.5))
+    assert abs(got - math.pi / 2.0) <= 1e-14  # B(1/2, 3/2)
+    # one adaptive call per half, each at the whole of the caller's tolerances
+    assert [c for *_, c in calls] == [cfg, cfg]
+
+
+@pytest.mark.parametrize("anchor, far", [(0.0, 1.0), (1.0, 0.0)])
+def test_a_cusp_at_the_anchor_is_the_hand_written_midpoint_split_at_mu_one(anchor, far):
+    # with mu = 1 and no kernel the half at the anchor integrates fn itself,
+    # so the cusp path gives the two graded halves' sum bit for bit
+    fn, cfg = (lambda s: math.cos(s) * abs(s - anchor) ** 0.3), QuadConfig(1e-8, 1e-8)
+    for alpha in (0.25, 0.5, 0.75):
+        halves = power_quad(fn, 0.5, anchor, 1.0, alpha, cfg) + power_quad(fn, 0.5, far, 1.0, 0.5, cfg)
+        assert power_quad(fn, anchor, far, 1.0, 0.5, cfg, cusp=(anchor, alpha)) == halves
+
+
+def test_a_cusp_away_from_the_anchor_leaves_the_value_bit_identical():
+    f = lambda s: math.sqrt(1.0 - s)
+    plain, far = RealFunction(f, 0.0, 1.0), RealFunction(f, 0.0, 1.0, cusp=(1.0, 0.5))
+    for alpha in (0.25, 0.5, 0.75):
+        for t in (0.3, 0.6, 1.0):
+            assert rl_integral(Side.Left, far, FracOrder(alpha), t) == rl_integral(
+                Side.Left, plain, FracOrder(alpha), t)
+
+
+@pytest.mark.parametrize("cusp", [(0.5, 0.5), (0.0, 0.0), (1.0, -0.5), (0.0, math.nan), (1.0, math.inf)])
+def test_a_cusp_needs_an_end_and_a_finite_positive_power(cusp):
+    with pytest.raises(DomainError, match="cusp"):
+        RealFunction(math.sqrt, 0.0, 1.0, cusp=cusp)

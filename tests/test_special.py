@@ -362,6 +362,15 @@ def test_rho_or_mu_past_the_log_gamma_range_is_a_domain_error(rho, mu):
     assert ml_value(rho / 1e4, mu / 1e4, 1.0, 0.5) == ml_eval(MLParams(rho / 1e4, mu / 1e4), 0.5).value
 
 
+def test_subnormal_mu_is_a_domain_error():
+    # the first series ratio, Gamma(mu)/Gamma(rho+mu) ~ 1/mu, overflows below
+    # the smallest normal float, which still answers z e^z, the mu -> 0 limit
+    for call in (lambda: ml_eval(MLParams(1.0, 1e-310), 0.5), lambda: ml_value(1.0, 1e-310, 1.0, 0.5)):
+        with pytest.raises(DomainError, match="smallest normal float"):
+            call()
+    assert math.isclose(ml_value(1.0, sys.float_info.min, 1.0, 0.5), 0.5 * math.exp(0.5), rel_tol=1e-15)
+
+
 def _band_points(b):
     """The inner edge, centre and last float of |z| band b, both signs."""
     lo = 0.0 if b == special._FLOOR_BAND else 2.0 ** (b / 4)

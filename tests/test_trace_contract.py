@@ -83,6 +83,20 @@ def test_caputo_rl_check_counts_every_graded_half():
     assert c.special_calls == c.quad_evals + 10
 
 
+def test_right_inverse_check_grades_the_operator_images_at_their_anchor():
+    tracer = Tracer()
+    try:
+        report = identities.verify_inverse_and_fundamental(
+            identities.poly([0.0, 0.0, 1.0]), FracOrder(0.5), Side.Right)
+    finally:
+        tracer.close()
+    assert report.passed
+    # the images declare their dist^alpha cusp at the anchor, so the outer
+    # ML-kernel integrals grade it; bisecting toward it took 2,132 calls and
+    # 33,720 evaluations
+    assert (tracer.counts.quad_calls, tracer.counts.quad_evals) == (520, 7800)
+
+
 def _picard_interpolant():
     half = FracOrder(0.5)
     grid = solve_quadratic_potential(half, 0.1, 1.0, 1.0, SolverConfig(grid_n=16)).grid
