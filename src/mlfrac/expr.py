@@ -17,15 +17,18 @@ limit allows, one frame per link; deeper input is an ExprSyntaxError.
 Parsed expressions evaluate to floats and differentiate symbolically,
 except through gamma, whose derivative needs digamma; for those
 rl_derivative, the one operator reading f', takes finite differences.
-:func:`to_real_function` compiles an expression at once, and builds (folded,
-so ``1.5*x^2`` has the derivative ``1.5*(2*x)``) and compiles its derivative
-at the derivative's first call, to straight-line Python code with one
-assignment per node; the tree walker :func:`evaluate` is the reference
-those functions match bit for bit and the path that raises their domain errors.
+:func:`to_real_function` compiles a tree at its first use, and builds
+(folded, so ``1.5*x^2`` has the derivative ``1.5*(2*x)``) and compiles its
+derivative at the derivative's first call, to straight-line Python code with
+one assignment per node; the tree walker :func:`evaluate` is the reference
+those functions match bit for bit and the path that raises their domain
+errors.  Both steps are memoized (the last 256 texts and trees), so a
+process parses and compiles each text once.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import re
@@ -169,8 +172,9 @@ class _Parser:
         return Call(text, node) if kind == "ident" else node
 
 
+@functools.lru_cache(maxsize=256)
 def parse_expr(text: str) -> Expr:
-    """Parse an expression; raises ExprSyntaxError / UnknownIdentifier."""
+    """Parse an expression into one shared tree per text; raises ExprSyntaxError / UnknownIdentifier."""
     if not text or not text.strip():
         raise ExprSyntaxError("empty expression", 0)
     parser = _Parser(text)
@@ -422,14 +426,36 @@ def _deferred(node: Expr) -> Callable[[float], float]:
     return deferred
 
 
+class _Same:
+    """A tree hashed and compared by identity: value equality would walk the
+    tree per lookup, and takes Num(0.0) for Num(-0.0)."""
+
+    def __init__(self, node: Expr):
+        self.node = node
+
+    def __hash__(self) -> int:
+        return id(self.node)
+
+    def __eq__(self, other: _Same) -> bool:
+        return self.node is other.node
+
+
+@functools.lru_cache(maxsize=256)
+def _built(key: _Same) -> tuple:
+    """(fn, deriv, label) of key's tree.  The entry holds the tree, so its id
+    is not reused while the entry lives, and nothing refers back to it."""
+    node = key.node
+    return _compile(node), None if _calls_gamma(node) else _deferred(node), to_string(node)
+
+
 def to_real_function(node: Expr, a: float, b: float) -> RealFunction:
     """Wrap an expression (and its symbolic derivative, when it exists) as a
-    RealFunction on [a, b].  The expression is compiled by :func:`_compile`
-    at once.  Its derivative exists unless it calls gamma, so ``deriv is
-    None`` exactly then; it is taken and compiled only when first called,
-    which only rl_derivative does."""
+    new RealFunction on [a, b].  The tree is compiled by :func:`_compile` at
+    its first use.  Its derivative exists unless it calls gamma, so ``deriv
+    is None`` exactly then; it is taken and compiled only when first called,
+    which only rl_derivative does, once for all functions of the tree."""
     try:
-        deriv = None if _calls_gamma(node) else _deferred(node)
-        return RealFunction(fn=_compile(node), a=a, b=b, deriv=deriv, label=to_string(node))
+        fn, deriv, label = _built(_Same(node))
+        return RealFunction(fn=fn, a=a, b=b, deriv=deriv, label=label)
     except RecursionError:  # a long flat chain, which the parser builds without recursing
         raise ExprSyntaxError("expression nested too deeply", 0) from None

@@ -174,7 +174,7 @@ GRADING_POWER = 3
 GRADING_POWER_MAX = 1000
 
 
-@functools.cache
+@functools.lru_cache(maxsize=256)
 def _grading(mu: float, rho: float) -> tuple[float, int, float]:
     """(p, m, p mu - 1) of :func:`power_quad`'s substitution; a power within
     1e-9 relative of an integer counts as one; DomainError past GRADING_POWER_MAX."""

@@ -8,15 +8,15 @@ is the kernel of every nonlocal operator in this package.  Terms are
 generated by a ratio recurrence whose gamma factors are evaluated as
 log-gamma differences, so the series stays in floating-point range far
 past the overflow point of Gamma itself.  Each (rho, mu, gamma) gets its
-ratio table built whole on first use (about 1 ms and 64 KB) and cached.
-``ml_eval`` walks that table term by term in one loop.  ``ml_value``, the
-operators' kernel, sums per quarter-octave |z| band and sign of z the terms
-the loop needs at the band's outer edge, re-expanded once about the band's
-midpoint into about ten coefficients, by Horner's rule, and hands z to the
-loop where that sum falls below the band's floor (see :func:`_plan`).  One
-cancellation rule serves both: a value has lost its digits iff eps times
-the largest term exceeds 1e-6 of it, where ``ml_eval`` sets
-``precision_flag`` and ``ml_value`` raises.
+ratio table built whole on first use (about 1 ms and 64 KB), kept for the
+last 256 triples (16 MB).  ``ml_eval`` walks that table term by term in one
+loop.  ``ml_value``, the operators' kernel, sums per quarter-octave |z| band
+and sign of z the terms the loop needs at the band's outer edge, re-expanded
+once about a point of the band into about ten coefficients, by Horner's
+rule, and hands z to the loop where that sum falls below the band's floor
+(see :func:`_plan`).  One cancellation rule serves both: a value has lost
+its digits iff eps times the largest term exceeds 1e-6 of it, where
+``ml_eval`` sets ``precision_flag`` and ``ml_value`` raises.
 
 ``exp_sum_kernel`` gives the operator kernel E_alpha(lam s^alpha), lam < 0,
 as an exact sum of decaying exponentials instead.  For 0 < alpha < 1 the
@@ -34,15 +34,14 @@ sum_j (W_j/C_j)(1 - exp(-C_j s)).  Both hold on the series' domain
 0 <= |lam| s^alpha <= Z_MAX, down to s = 0, to a few 1e-15 relative for
 alpha >= 0.06 and to 1e-12 down to alpha = 0.047 (see :func:`exp_sum_kernel`).
 Each rule is built on first use, in 5-10 ms and with 450-700 terms for
-alpha in [0.5, 0.98] (0.3 s and 5,000 terms at alpha = 0.05), and cached
-per (alpha, lam) as read-only arrays.
+alpha in [0.5, 0.98] (0.3 s and 5,000 terms at alpha = 0.05), and kept as
+read-only arrays for the last 32 (alpha, lam) pairs used.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import operator
 import sys
 from dataclasses import dataclass
 from itertools import accumulate, islice
@@ -118,7 +117,7 @@ class SeriesResult:
     precision_flag: bool
 
 
-@functools.cache
+@functools.lru_cache(maxsize=256)  # about 16 MB when full
 def _ratios(rho: float, mu: float, gamma_p: float) -> tuple[float, ...]:
     """Term ratios r_k of the series, term_{k+1} = term_k * z * r_k, built
     whole on first use of (rho, mu, gamma_p): TERM_CAP of them, or -gamma_p
@@ -193,20 +192,24 @@ _FLOOR_BAND = -105  # every |z| < 2^-26 shares this band: two or three terms
 _FLOOR = 2.0 ** ((_FLOOR_BAND + 1) / 4)
 
 
-@functools.cache
+@functools.lru_cache(maxsize=8192)
 def _plan(rho: float, mu: float, gamma_p: float, band: int, negative: bool) -> tuple:
     """Horner plan (d_{K-1} .. d_0, z_c, floor) for the |z| band
-    [2^(band/4), 2^((band+1)/4)) on one side of 0: the n terms the loop needs
-    at the band's outer edge, re-expanded about the band's midpoint z_c by
-    repeated synthetic division (pass k gives the Taylor coefficient d_k)
-    until two consecutive |d_k| delta^k, delta the half-width, are below
-    1e-17 of the floor.  ml_value accepts a sum iff |value| >= floor =
-    max(|c_n| edge^n / 1e-16, max_term / _CANCEL_LIMIT): there the first
-    omitted term and the largest term, both at the edge, pass the loop's stop
-    rule and its cancellation bound.  The empty plan () sends the band to the
-    loop: a negative-integer gamma_p, a loop that raises at the edge, or an
-    edge where z^n, a coefficient or a Horner partial sum could leave the
-    normal float range, so that ml_value needs no such check per call."""
+    [lo, edge) = [2^(band/4), 2^((band+1)/4)) on one side of 0: the n terms
+    the loop needs at the edge, re-expanded about z_c by repeated synthetic
+    division (pass k gives the Taylor coefficient d_k) until two consecutive
+    |d_k| r^k, r the band's reach from z_c, are below 1e-17 of the floor;
+    ml_value accepts a sum iff |value| >= floor.  For z < 0, or a ratio <= 0,
+    z_c is the midpoint and floor = max(|c_n| edge^n / 1e-16, max_term /
+    _CANCEL_LIMIT): there the first omitted term and the largest term, both
+    at the edge, pass the loop's stop rule and its cancellation bound.  For
+    z > 0 and ratios > 0 nothing cancels and each term's share of the sum
+    grows with z, so the edge passing passes the band: z_c = lo, about which
+    every d_k is positive, floor is the value at lo, and the d_k come from
+    the terms c_k lo^k, in range where c_k is not.  The empty plan () sends
+    the band to the loop: a negative-integer gamma_p, a loop that raises at
+    the edge, or an edge where z^n, a coefficient or a Horner partial sum
+    could leave the normal float range, so ml_value needs no check per call."""
     ratios = _ratios(rho, mu, gamma_p)  # raises DomainError for bad parameters
     if gamma_p <= 0.0 and gamma_p == math.floor(gamma_p):
         return ()
@@ -215,23 +218,34 @@ def _plan(rho: float, mu: float, gamma_p: float, band: int, negative: bool) -> t
         _, n, max_term = _sum_series(rho, mu, gamma_p, -edge if negative else edge)
     except ConvergenceError:
         return ()
-    coeffs = list(accumulate(ratios[:n], operator.mul, initial=math.exp(-math.lgamma(mu))))
-    if not (n * math.log(edge) < 700.0 and n * max_term < 1e300 and 1e-290 < min(map(abs, coeffs))):
-        return ()
-    floor = max(abs(coeffs.pop()) * edge**n / _REL_STOP, max_term / _CANCEL_LIMIT)
     lo = 0.0 if band == _FLOOR_BAND else 2.0 ** (band / 4)
-    half, centre = (edge - lo) / 2, (edge + lo) / (-2 if negative else 2)
+    rising = not negative and min(ratios[:n]) > 0.0
+    scale = (lo or 1.0) if rising else 1.0  # coefficients in powers of z / scale
+    coeffs = list(accumulate(ratios[:n], lambda c, r: c * r * scale, initial=math.exp(-math.lgamma(mu))))
+    if not ((rising or n * math.log(edge) < 700.0) and n * max_term < 1e300 and 1e-290 < min(map(abs, coeffs))):
+        return ()
+    c_n = abs(coeffs.pop())
+    if rising:  # floor: the value at lo
+        floor = math.fsum(c * (lo / scale) ** k for k, c in enumerate(coeffs))
+        radius, centre = (edge - lo) / scale, lo / scale
+    else:
+        floor = max(c_n * edge**n / _REL_STOP, max_term / _CANCEL_LIMIT)
+        radius, centre = (edge - lo) / 2, (edge + lo) / (-2 if negative else 2)
     tiny = False
     for j in range(n):  # pass j leaves d_j in coeffs[j]
         for k in range(n - 2, j - 1, -1):
             coeffs[k] += centre * coeffs[k + 1]
-        small = abs(coeffs[j]) * half**j < 1e-17 * floor
+        small = abs(coeffs[j]) * radius**j < 1e-17 * floor
         if small and tiny:  # drop both: each is below 1e-17 of any value accepted
             del coeffs[j - 1 :]
             break
         tiny = small
-    # with |u| <= half, this sum bounds every Horner partial sum in u = z - z_c
-    if sum(abs(d) * max(1.0, half) ** j for j, d in enumerate(coeffs)) < 1e300:
+    coeffs = [d * scale**-j for j, d in enumerate(coeffs)]  # in powers of u = z - z_c
+    reach, centre = max(1.0, radius * scale), centre * scale
+    if (rising and not min(coeffs) > 1e-290) or len(coeffs) * math.log(reach) >= 700.0:
+        return ()
+    # with |u| <= reach, this sum bounds every Horner partial sum
+    if sum(abs(d) * reach**j for j, d in enumerate(coeffs)) < 1e300:
         return tuple(reversed(coeffs)), centre, floor
     return ()
 
@@ -240,13 +254,13 @@ def ml_value(rho: float, mu: float, gamma_p: float, z: float) -> float:
     """Series value, for the operator kernels' hot loops.
 
     Sums the plan of z's quarter-octave |z| band (see :func:`_plan`), about
-    ten coefficients of the series re-expanded about the band's midpoint,
-    by Horner's rule in z minus that midpoint; a triple's first call builds
-    its whole ratio table (about 1 ms), a band's first call its plan.  The
-    loop answers instead where the sum is below the band's floor: where the
-    first omitted term or the largest term, both taken at the band's outer
-    edge, breaks the loop's stop rule or its cancellation bound for that
-    sum; so the loop decides every refusal.
+    ten coefficients of the series re-expanded about a point z_c of the
+    band, by Horner's rule in z - z_c; a triple's first call builds its
+    whole ratio table (about 1 ms), a band's first call its plan.  The loop
+    answers instead where the sum is below the band's floor: where the first
+    omitted term or the largest term, both taken at the band's outer edge,
+    breaks the loop's stop rule or its cancellation bound for that sum; so
+    the loop decides every refusal.
     Raises ConvergenceError where cancellation may have cost more than 1e-6
     of the value: eps times the largest term exceeds that, the bound at
     which :func:`ml_eval` sets ``precision_flag``."""
@@ -286,7 +300,7 @@ _Y_TAIL = 40.0  # w holds less than 4.3e-18 of its mass beyond |y| = 40
 _TAIL_LIMIT = 1e-12
 
 
-@functools.cache
+@functools.lru_cache(maxsize=32)
 def exp_sum_kernel(alpha: float, lam: float) -> tuple[np.ndarray, np.ndarray]:
     """Weights W and rates C, both read-only and of equal length, with
 

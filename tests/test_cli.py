@@ -545,6 +545,17 @@ class TestRunCli:
         assert len(calls) == compiles
         assert capsys.readouterr().out.startswith("t,value\n")
 
+    def test_commands_on_one_text_share_its_derivative(self, monkeypatch, capsys):
+        calls = []
+        differentiate_ = expr.differentiate
+        monkeypatch.setattr(expr, "differentiate", lambda node: calls.append(node) or differentiate_(node))
+        argv = ["deriv", "--op", "rl-left", "--alpha", "0.5", "--fn", "x^2+sin(x)", "--grid", "5"]
+        assert run_cli(argv) == 0
+        first = capsys.readouterr().out
+        assert run_cli([*argv[:-1], "9"]) == 0 and run_cli(argv) == 0
+        assert len(calls) == 1
+        assert capsys.readouterr().out.endswith(first)
+
     def test_deferred_compile_too_deep_is_usage_error(self, monkeypatch, capsys):
         compile_ = expr._compile
 

@@ -1,3 +1,4 @@
+import gc
 import math
 import random
 import sys
@@ -253,7 +254,9 @@ def test_derivative_is_taken_at_its_first_call(monkeypatch):
         raise RecursionError
 
     monkeypatch.setattr(expr, "differentiate", too_deep)
-    g = to_real_function(parse_expr("x^2"), 0.0, 1.0)
+    # the same text shares f's tree and its derivative, already taken
+    assert to_real_function(parse_expr("x^2"), 0.0, 2.0).deriv is f.deriv
+    g = to_real_function(parse_expr("x^3"), 0.0, 1.0)
     with pytest.raises(ExprSyntaxError, match="nested too deeply"):
         g.deriv(0.5)
 
@@ -390,3 +393,89 @@ def test_derivative_compiles_once_under_threads(monkeypatch):
     assert len(calls) == 2
     d = differentiate(parse_expr("x^3 + sin(x)*exp(x)"))
     assert all(r == [evaluate(d, x) for x in xs] for r in results)
+
+
+def test_one_text_is_parsed_and_compiled_once():
+    tree = parse_expr("x^2 + sin(x)")
+    assert parse_expr("x^2 + sin(x)") is tree
+    f, g = to_real_function(tree, 0.0, 1.0), to_real_function(tree, -1.0, 2.0)
+    assert f is not g and (g.a, g.b) == (-1.0, 2.0)
+    assert f.fn is g.fn and f.deriv is g.deriv and f.label == g.label == "x^2+sin(x)"
+
+
+def test_memo_keys_trees_by_identity():
+    # equal trees (0.0 == -0.0) that compute different values stay apart
+    plus, minus = Bin("*", Num(0.0), Var()), Bin("*", Num(-0.0), Var())
+    assert plus == minus
+    assert math.copysign(1.0, to_real_function(plus, 0.0, 1.0).fn(1.0)) == 1.0
+    assert math.copysign(1.0, to_real_function(minus, 0.0, 1.0).fn(1.0)) == -1.0
+
+
+def test_errors_are_not_memoized(monkeypatch):
+    for _ in range(2):
+        with pytest.raises(ExprSyntaxError):
+            parse_expr("x +")
+    assert expr.parse_expr.cache_info().currsize == 0
+    compile_ = expr._compile
+
+    def too_deep_once(node):
+        monkeypatch.setattr(expr, "_compile", compile_)
+        raise RecursionError
+
+    monkeypatch.setattr(expr, "_compile", too_deep_once)
+    with pytest.raises(ExprSyntaxError, match="nested too deeply"):
+        to_real_function(parse_expr("x*x"), 0.0, 1.0)
+    assert to_real_function(parse_expr("x*x"), 0.0, 1.0).fn(3.0) == 9.0
+
+
+def test_memos_stop_at_their_bound():
+    bound = expr.parse_expr.cache_info().maxsize
+    assert expr._built.cache_info().maxsize == bound
+    for i in range(bound + 40):
+        f = to_real_function(parse_expr(f"x + {i}"), 0.0, 1.0)
+        assert f.fn(0.5) == 0.5 + i
+    assert expr.parse_expr.cache_info().currsize == bound
+    assert expr._built.cache_info().currsize == bound
+
+
+def test_evicted_entries_leave_no_cyclic_garbage():
+    bound = expr.parse_expr.cache_info().maxsize
+    texts = [f"x^2 + {i}*sin(x)" for i in range(3 * bound)]
+    for text in texts[:bound]:
+        to_real_function(parse_expr(text), 0.0, 1.0).deriv(0.5)
+    gc.collect()
+    gc.disable()
+    try:
+        for text in texts[bound:]:  # each evicts one tree with its fn and taken derivative
+            to_real_function(parse_expr(text), 0.0, 1.0).deriv(0.5)
+    finally:
+        unreachable = gc.collect()
+        gc.enable()
+    assert unreachable < 100
+
+
+def test_first_call_on_a_new_text_under_threads():
+    text = "exp(-x)*cos(3*x) + x^1.5"
+    start = threading.Barrier(4)
+    xs = [0.1 * i for i in range(11)]
+    results = [None] * 4
+
+    def worker(i):
+        start.wait()
+        f = to_real_function(parse_expr(text), 0.0, 1.0)
+        results[i] = [(f.fn(x), f.deriv(x)) for x in xs]
+
+    threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    tree = parse_expr(text)
+    d = differentiate(tree)
+    assert all(r == [(evaluate(tree, x), evaluate(d, x)) for x in xs] for r in results)

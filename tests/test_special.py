@@ -8,7 +8,7 @@ import threading
 import numpy as np
 import pytest
 
-from mlfrac import special
+from mlfrac import quadrature, special
 from mlfrac.errors import ConvergenceError, DomainError, MlfracError, PoleError
 from mlfrac.special import TERM_CAP, MLParams, gamma_fn, ml_eval, ml_one, ml_value
 
@@ -403,3 +403,52 @@ def test_band_plans_are_short_and_ml_value_raises_exactly_where_the_loop_raises(
                 got = ml_value(alpha, mu, 1.0, z)
                 assert abs(got - r.value) <= 4 * r.terms_used * EPS * r.max_term_magnitude, z
     assert raised > 0
+
+
+def test_per_parameter_caches_are_bounded():
+    for cached in (special._ratios, special._plan, special.exp_sum_kernel, quadrature._grading):
+        assert cached.cache_info().maxsize is not None
+
+
+@pytest.mark.parametrize("cached, args", [
+    (special._ratios, lambda i: (0.5, 1.0 + i / 1024, 1.0)),
+    (quadrature._grading, lambda i: (1.0, 0.5 + i / 1024)),
+], ids=["ratios", "grading"])
+def test_cache_stops_at_its_bound_and_rebuilds_the_same_value(cached, args):
+    bound = cached.cache_info().maxsize
+    first = cached(*args(0))
+    for i in range(1, bound + 8):
+        cached(*args(i))
+    assert cached.cache_info().currsize == bound
+    again = cached(*args(0))  # evicted, so built again
+    assert again is not first and again == first
+
+
+def _loop_calls(zs):
+    grid = [(a, mu, z) for a in (0.25, 0.5, 0.75, 0.9) for mu in (a, 1.0) for z in zs]
+
+    def value(a, mu, z):
+        with contextlib.suppress(ConvergenceError):
+            ml_value(a, mu, 1.0, z)
+
+    for point in grid:  # build the plans
+        value(*point)
+    calls = []
+    loop = special._sum_series
+    special._sum_series = lambda *args: calls.append(args) or loop(*args)
+    try:
+        for point in grid:
+            value(*point)
+    finally:
+        special._sum_series = loop
+    return len(calls)
+
+
+def test_positive_bands_send_few_values_to_the_loop():
+    # every coefficient is positive there, so a plan answers its whole band;
+    # with the floor of z < 0 the loop took 728 of these 1,600 values.  The
+    # rest raise in the loop (alpha = 0.25 from z of about 4) or sit in bands
+    # whose plan would leave the float range.
+    zs = [1.0 + 9.0 * i / 199 for i in range(200)]
+    assert _loop_calls(zs) <= 364
+    assert _loop_calls([-z for z in zs]) == 667  # negative plans are unchanged

@@ -15,7 +15,7 @@ import io
 import sys
 from pathlib import Path
 
-from mlfrac import cli, identities, operators, quadrature
+from mlfrac import cli, expr, identities, operators, quadrature
 from mlfrac.operators import FracOrder, Side
 from mlfrac.variational import SolverConfig, solve_quadratic_potential
 
@@ -64,6 +64,26 @@ def test_abc_left_grid_counts_one_ml_call_and_one_expr_eval_per_node():
     assert c.cli_bytes_out == len(out.getvalue())
     for owner, name, original in patched:
         assert getattr(owner, name) is original, f"{owner.__name__}.{name} not restored"
+
+
+def test_a_repeated_text_is_counted_again():
+    # the second command reads its operand from the expression memo, which
+    # sits behind cli.to_real_function, so the tracer still wraps it
+    argv = ["deriv", "--op", "abc-left", "--alpha", "0.5", "--fn", "x^2+sin(x)", "--grid", "3"]
+    tracer = Tracer()
+    counts = []
+    try:
+        for _ in range(2):
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.run_cli(argv) == 0
+            c = tracer.counts
+            counts.append((c.quad_calls, c.quad_evals, c.special_calls, c.expr_evals))
+    finally:
+        tracer.close()
+    first, both = counts
+    assert expr._built.cache_info()[:2] == (1, 1)  # the second command was a hit
+    assert first == (2, 30, 32, 34)
+    assert both == tuple(2 * n for n in first)
 
 
 def test_caputo_rl_check_counts_every_graded_half():
