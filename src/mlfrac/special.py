@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from itertools import accumulate, islice
@@ -198,18 +199,18 @@ def _plan(rho: float, mu: float, gamma_p: float, band: int, negative: bool) -> t
     [lo, edge) = [2^(band/4), 2^((band+1)/4)) on one side of 0: the n terms
     the loop needs at the edge, re-expanded about z_c by repeated synthetic
     division (pass k gives the Taylor coefficient d_k) until two consecutive
-    |d_k| r^k, r the band's reach from z_c, are below 1e-17 of the floor;
-    ml_value accepts a sum iff |value| >= floor.  For z < 0, or a ratio <= 0,
-    z_c is the midpoint and floor = max(|c_n| edge^n / 1e-16, max_term /
+    |d_k| delta^k, delta the reach from z_c, are below 1e-17 of the floor.
+    ml_value accepts a sum iff |value| >= floor.  In general z_c is the
+    band's midpoint and floor = max(|c_n| edge^n / 1e-16, max_term /
     _CANCEL_LIMIT): there the first omitted term and the largest term, both
     at the edge, pass the loop's stop rule and its cancellation bound.  For
-    z > 0 and ratios > 0 nothing cancels and each term's share of the sum
-    grows with z, so the edge passing passes the band: z_c = lo, about which
-    every d_k is positive, floor is the value at lo, and the d_k come from
-    the terms c_k lo^k, in range where c_k is not.  The empty plan () sends
-    the band to the loop: a negative-integer gamma_p, a loop that raises at
-    the edge, or an edge where z^n, a coefficient or a Horner partial sum
-    could leave the normal float range, so ml_value needs no check per call."""
+    z > 0 with every ratio > 0 nothing cancels and each term's share of the
+    sum grows with z, so the edge passing passes the whole band: z_c = lo,
+    about which every d_k is positive, and floor is the value at lo.  The
+    empty plan () sends the band to the loop: a negative-integer gamma_p, a
+    loop that raises at the edge, or an edge where z^n, a coefficient or a
+    Horner partial sum could leave the normal float range, so that ml_value
+    needs no such check per call."""
     ratios = _ratios(rho, mu, gamma_p)  # raises DomainError for bad parameters
     if gamma_p <= 0.0 and gamma_p == math.floor(gamma_p):
         return ()
@@ -218,34 +219,27 @@ def _plan(rho: float, mu: float, gamma_p: float, band: int, negative: bool) -> t
         _, n, max_term = _sum_series(rho, mu, gamma_p, -edge if negative else edge)
     except ConvergenceError:
         return ()
-    lo = 0.0 if band == _FLOOR_BAND else 2.0 ** (band / 4)
-    rising = not negative and min(ratios[:n]) > 0.0
-    scale = (lo or 1.0) if rising else 1.0  # coefficients in powers of z / scale
-    coeffs = list(accumulate(ratios[:n], lambda c, r: c * r * scale, initial=math.exp(-math.lgamma(mu))))
-    if not ((rising or n * math.log(edge) < 700.0) and n * max_term < 1e300 and 1e-290 < min(map(abs, coeffs))):
+    coeffs = list(accumulate(ratios[:n], operator.mul, initial=math.exp(-math.lgamma(mu))))
+    if not (n * math.log(edge) < 700.0 and n * max_term < 1e300 and 1e-290 < min(map(abs, coeffs))):
         return ()
-    c_n = abs(coeffs.pop())
-    if rising:  # floor: the value at lo
-        floor = math.fsum(c * (lo / scale) ** k for k, c in enumerate(coeffs))
-        radius, centre = (edge - lo) / scale, lo / scale
+    floor = max(abs(coeffs.pop()) * edge**n / _REL_STOP, max_term / _CANCEL_LIMIT)
+    lo = 0.0 if band == _FLOOR_BAND else 2.0 ** (band / 4)
+    if not negative and min(ratios[:n]) > 0.0:
+        floor = math.fsum(c * lo**k for k, c in enumerate(coeffs))
+        delta, centre = edge - lo, lo
     else:
-        floor = max(c_n * edge**n / _REL_STOP, max_term / _CANCEL_LIMIT)
-        radius, centre = (edge - lo) / 2, (edge + lo) / (-2 if negative else 2)
+        delta, centre = (edge - lo) / 2, (edge + lo) / (-2 if negative else 2)
     tiny = False
     for j in range(n):  # pass j leaves d_j in coeffs[j]
         for k in range(n - 2, j - 1, -1):
             coeffs[k] += centre * coeffs[k + 1]
-        small = abs(coeffs[j]) * radius**j < 1e-17 * floor
+        small = abs(coeffs[j]) * delta**j < 1e-17 * floor
         if small and tiny:  # drop both: each is below 1e-17 of any value accepted
             del coeffs[j - 1 :]
             break
         tiny = small
-    coeffs = [d * scale**-j for j, d in enumerate(coeffs)]  # in powers of u = z - z_c
-    reach, centre = max(1.0, radius * scale), centre * scale
-    if (rising and not min(coeffs) > 1e-290) or len(coeffs) * math.log(reach) >= 700.0:
-        return ()
-    # with |u| <= reach, this sum bounds every Horner partial sum
-    if sum(abs(d) * reach**j for j, d in enumerate(coeffs)) < 1e300:
+    # with |u| <= delta, this sum bounds every Horner partial sum in u = z - z_c
+    if sum(abs(d) * max(1.0, delta) ** j for j, d in enumerate(coeffs)) < 1e300:
         return tuple(reversed(coeffs)), centre, floor
     return ()
 
@@ -259,8 +253,9 @@ def ml_value(rho: float, mu: float, gamma_p: float, z: float) -> float:
     whole ratio table (about 1 ms), a band's first call its plan.  The loop
     answers instead where the sum is below the band's floor: where the first
     omitted term or the largest term, both taken at the band's outer edge,
-    breaks the loop's stop rule or its cancellation bound for that sum; so
-    the loop decides every refusal.
+    breaks the loop's stop rule or its cancellation bound for that sum, or,
+    for z > 0 with every term positive, where it is below the sum at the
+    band's inner edge; so the loop decides every refusal.
     Raises ConvergenceError where cancellation may have cost more than 1e-6
     of the value: eps times the largest term exceeds that, the bound at
     which :func:`ml_eval` sets ``precision_flag``."""
