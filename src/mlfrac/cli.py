@@ -336,24 +336,29 @@ def _run_solve(args: argparse.Namespace) -> int:
     if args.format == "json":
         _emit(_grid_json(res.grid, extra=stats), args.out)
     else:
-        print(
-            "converged in {iterations} iterations, q={contraction_q:.4g}, "
-            "residual={residual_sup:.3g}".format(**stats),
-            file=sys.stderr,
-        )
+        # one Picard step leaves no contraction estimate
+        q = "" if res.contraction_q is None else f", q={res.contraction_q:.4g}"
+        print(f"converged in {res.iterations} iterations{q}, residual={res.residual_sup:.3g}",
+              file=sys.stderr)
         _emit(_grid_csv(res.grid), args.out)
     return 0
 
 
-def _bind_interval(argv: list[str]) -> list[str]:
-    """'--interval -1:1' as '--interval=-1:1': argparse takes a separate value
-    that starts with '-' for an option unless it reads as a plain number."""
-    args = iter(argv)
-    return [f"--interval={next(args, '')}" if arg == "--interval" else arg for arg in args]
+def _bind_values(argv: list[str]) -> list[str]:
+    """'--flag value' as '--flag=value' for every flag but --help, each of
+    which takes one value: argparse takes a separate value that starts with
+    '-' ('--z -1e-5', '--fn -x', '--interval -1:1') for an option unless it
+    reads as a plain number.  A flag with nothing after it stays as it is."""
+    bound, args = [], iter(argv)
+    for arg in args:
+        takes_value = arg.startswith("--") and arg not in ("--", "--help") and "=" not in arg
+        value = next(args, None) if takes_value else None
+        bound.append(arg if value is None else f"{arg}={value}")
+    return bound
 
 
 def run_cli(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(_bind_interval(sys.argv[1:] if argv is None else argv))
+    args = build_parser().parse_args(_bind_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.run(args)
     except (SyntaxError, OSError, argparse.ArgumentError) as exc:

@@ -7,16 +7,16 @@ The three-parameter (Prabhakar) Mittag-Leffler function
 is the kernel of every nonlocal operator in this package.  Terms are
 generated by a ratio recurrence whose gamma factors are evaluated as
 log-gamma differences, so the series stays in floating-point range far
-past the overflow point of Gamma itself.  Each (rho, mu, gamma) gets its
-ratio table built whole on first use (about 1 ms and 64 KB), kept for the
-last 256 triples (16 MB).  ``ml_eval`` walks that table term by term in one
-loop.  ``ml_value``, the operators' kernel, sums per quarter-octave |z| band
-and sign of z the terms the loop needs at the band's outer edge, re-expanded
-once about a point of the band into about ten coefficients, by Horner's
-rule, and hands z to the loop where that sum falls below the band's floor
-(see :func:`_plan`).  One cancellation rule serves both: a value has lost
-its digits iff eps times the largest term exceeds 1e-6 of it, where
-``ml_eval`` sets ``precision_flag`` and ``ml_value`` raises.
+past the overflow point of Gamma itself.  Each ratio is computed as the
+loop reads it, so a sum costs only its own terms.  ``ml_eval`` sums them in
+one loop.  ``ml_value``, the operators' kernel, sums per quarter-octave |z|
+band and sign of z the terms the loop needs at the band's outer edge,
+re-expanded once about a point of the band into about ten coefficients, by
+Horner's rule, and hands z to the loop where that sum falls below the
+band's floor (see :func:`_plan`; the last 8,192 plans are all it keeps).
+One cancellation rule serves both: a value has lost its digits iff eps
+times the largest term exceeds 1e-6 of it, where ``ml_eval`` sets
+``precision_flag`` and ``ml_value`` raises.
 
 ``exp_sum_kernel`` gives the operator kernel E_alpha(lam s^alpha), lam < 0,
 as an exact sum of decaying exponentials instead.  For 0 < alpha < 1 the
@@ -44,8 +44,9 @@ import functools
 import math
 import operator
 import sys
+from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import accumulate, islice
+from itertools import accumulate, islice, pairwise
 
 import numpy as np
 
@@ -118,21 +119,19 @@ class SeriesResult:
     precision_flag: bool
 
 
-@functools.lru_cache(maxsize=256)  # about 16 MB when full
-def _ratios(rho: float, mu: float, gamma_p: float) -> tuple[float, ...]:
-    """Term ratios r_k of the series, term_{k+1} = term_k * z * r_k, built
-    whole on first use of (rho, mu, gamma_p): TERM_CAP of them, or -gamma_p
-    (at most TERM_CAP) where a negative-integer gamma_p ends the series after
-    1 - gamma_p terms.  About 1 ms and 64 KB per triple, once; parameters
-    that fail :func:`_check_params`, or a subnormal mu, raise DomainError and
-    cache nothing."""
+def _ratios(rho: float, mu: float, gamma_p: float) -> Iterator[float]:
+    """Term ratios r_k of the series, term_{k+1} = term_k * z * r_k, each
+    computed as it is read: TERM_CAP of them, or -gamma_p (at most TERM_CAP)
+    where a negative-integer gamma_p ends the series after 1 - gamma_p terms.
+    Parameters that fail :func:`_check_params`, or a subnormal mu, raise
+    DomainError at the call."""
     _check_params("Mittag-Leffler series", rho, mu, gamma_p)
     if mu < sys.float_info.min:  # the first ratio, Gamma(mu)/Gamma(rho+mu) ~ 1/mu, overflows
         raise DomainError(f"Mittag-Leffler series requires mu >= {sys.float_info.min!r}, "
                           f"the smallest normal float, got {mu!r}")
     n = min(int(-gamma_p), TERM_CAP) if gamma_p <= 0.0 and gamma_p == math.floor(gamma_p) else TERM_CAP
-    lg = [math.lgamma(rho * k + mu) for k in range(n + 1)]
-    return tuple((gamma_p + k) / (k + 1) * math.exp(lg[k] - lg[k + 1]) for k in range(n))
+    lg = pairwise(map(math.lgamma, (rho * k + mu for k in range(n + 1))))
+    return ((gamma_p + k) / (k + 1) * math.exp(a - b) for k, (a, b) in enumerate(lg))
 
 
 def _sum_series(rho: float, mu: float, gamma_p: float, z: float) -> tuple[float, int, float]:
@@ -161,7 +160,7 @@ def _sum_series(rho: float, mu: float, gamma_p: float, z: float) -> tuple[float,
             tiny = True
         else:
             tiny = False
-    if k == len(ratios):  # a truncated series ended
+    if next(ratios, None) is None:  # a truncated series ended
         return total, k + 1, max_term
     raise ConvergenceError(
         f"Mittag-Leffler series did not converge within {TERM_CAP} terms "
@@ -219,12 +218,13 @@ def _plan(rho: float, mu: float, gamma_p: float, band: int, negative: bool) -> t
         _, n, max_term = _sum_series(rho, mu, gamma_p, -edge if negative else edge)
     except ConvergenceError:
         return ()
-    coeffs = list(accumulate(ratios[:n], operator.mul, initial=math.exp(-math.lgamma(mu))))
+    head = list(islice(ratios, n))
+    coeffs = list(accumulate(head, operator.mul, initial=math.exp(-math.lgamma(mu))))
     if not (n * math.log(edge) < 700.0 and n * max_term < 1e300 and 1e-290 < min(map(abs, coeffs))):
         return ()
     floor = max(abs(coeffs.pop()) * edge**n / _REL_STOP, max_term / _CANCEL_LIMIT)
     lo = 0.0 if band == _FLOOR_BAND else 2.0 ** (band / 4)
-    if not negative and min(ratios[:n]) > 0.0:
+    if not negative and min(head) > 0.0:
         floor = math.fsum(c * lo**k for k, c in enumerate(coeffs))
         delta, centre = edge - lo, lo
     else:
@@ -249,13 +249,13 @@ def ml_value(rho: float, mu: float, gamma_p: float, z: float) -> float:
 
     Sums the plan of z's quarter-octave |z| band (see :func:`_plan`), about
     ten coefficients of the series re-expanded about a point z_c of the
-    band, by Horner's rule in z - z_c; a triple's first call builds its
-    whole ratio table (about 1 ms), a band's first call its plan.  The loop
-    answers instead where the sum is below the band's floor: where the first
-    omitted term or the largest term, both taken at the band's outer edge,
-    breaks the loop's stop rule or its cancellation bound for that sum, or,
-    for z > 0 with every term positive, where it is below the sum at the
-    band's inner edge; so the loop decides every refusal.
+    band, by Horner's rule in z - z_c; a band's first call builds its plan
+    from the terms it needs.  The loop answers instead where the sum is
+    below the band's floor: where the first omitted term or the largest
+    term, both taken at the band's outer edge, breaks the loop's stop rule
+    or its cancellation bound for that sum, or, for z > 0 with every term
+    positive, where it is below the sum at the band's inner edge; so the
+    loop decides every refusal.
     Raises ConvergenceError where cancellation may have cost more than 1e-6
     of the value: eps times the largest term exceeds that, the bound at
     which :func:`ml_eval` sets ``precision_flag``."""

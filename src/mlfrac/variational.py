@@ -46,10 +46,14 @@ class SolverConfig:
     fp_max_iter: int = 200
 
     def __post_init__(self) -> None:
+        for name in ("grid_n", "fp_max_iter"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise DomainError(f"{name} must be an integer, got {value!r}")
         if self.grid_n < 8:
             raise DomainError(f"grid_n must be at least 8, got {self.grid_n}")
-        if not (self.fp_tol > 0.0):
-            raise DomainError(f"fp_tol must be positive, got {self.fp_tol!r}")
+        if not (0.0 < self.fp_tol < math.inf):
+            raise DomainError(f"fp_tol must be finite and positive, got {self.fp_tol!r}")
         if self.fp_max_iter < 1:
             raise DomainError("fp_max_iter must be at least 1")
 

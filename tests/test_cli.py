@@ -4,6 +4,7 @@ import json
 import math
 import os
 import re
+import shlex
 import subprocess
 import sys
 import warnings
@@ -218,6 +219,22 @@ class TestGridCommands:
             assert [t for t, _ in rows] == [a, (a + b) / 2, b]
             assert abs(rows[-1][1] - (b - a) ** 0.5 / math.gamma(1.5)) <= 1e-12
 
+    @pytest.mark.parametrize("argv, flag, value", [
+        (("ml", "--rho", "0.5", "--mu", "1"), "--z", "-1e-5"),
+        (("solve-el", "--problem", "quadratic", "--alpha", "0.5", "--y0", "1"), "--c", "-1e-2"),
+        (("verify", "--id", "convolution"), "--lam", "-2E-1"),
+        (("deriv", "--op", "abc-left", "--alpha", "0.5", "--grid", "3"), "--fn", "-x"),
+    ], ids=["ml-z", "solve-el-c", "verify-lam", "deriv-fn"])
+    def test_negative_value_after_a_space_reads_as_after_an_equals_sign(self, argv, flag, value):
+        # argparse alone reads only a plain negative number as a value
+        spaced = mlfrac(*argv, flag, value)
+        assert spaced.returncode == 0, spaced.stderr
+        assert spaced == mlfrac(*argv, f"{flag}={value}")
+
+    def test_flag_without_a_value_is_usage_error(self):
+        p = mlfrac("ml", "--rho", "0.5", "--mu", "1", "--z")
+        assert p.returncode == 2 and "expected one argument" in p.stderr
+
     def test_infinite_normalization_is_numeric_error(self):
         p = mlfrac("integ", "--op", "ab-left", "--alpha", "0.5", "--B", "inf", "--fn", "x", "--grid", "3")
         assert p.returncode == 3 and p.stdout == ""
@@ -404,6 +421,14 @@ class TestSolveCommand:
         assert len(payload["values"]) == 17
 
 
+    @pytest.mark.parametrize("extra", [(), ("--y0", "1", "--c", "0")], ids=["default", "c-zero"])
+    def test_quadratic_csv_after_one_picard_step(self, extra):
+        # one step leaves no contraction estimate, so the summary names none
+        p = mlfrac("solve-el", "--problem", "quadratic", "--alpha", "0.5", *extra)
+        assert p.returncode == 0, p.stderr
+        assert p.stderr.startswith("converged in 1 iterations, residual=") and "q=" not in p.stderr
+        assert p.stdout.startswith("t,value\n")
+
     @pytest.mark.parametrize("n", ["4", "0", "-3"])
     def test_grid_n_below_eight_is_usage_error(self, n, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -442,6 +467,16 @@ class TestSolveCommand:
 
 def _reject_constant(name):
     raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_every_readme_cli_command_exits_zero():
+    readme = open(os.path.join(os.path.dirname(SRC_DIR), "README.md")).read()
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [line for line in block.splitlines() if line.startswith("mlfrac ")]
+    assert len(commands) >= 7
+    for line in commands:
+        p = mlfrac(*shlex.split(line)[1:])
+        assert p.returncode == 0, (line, p.stderr)
 
 
 class TestStrictJson:

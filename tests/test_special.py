@@ -295,7 +295,6 @@ def test_ml_value_first_calls_from_threads_match_serial_calls():
     def values():
         return [[value_or_error(p, z) for z in zs] for p in triples]
 
-    special._ratios.cache_clear()
     special._plan.cache_clear()
     start = threading.Barrier(4)
     results = [None] * 4
@@ -315,24 +314,36 @@ def test_ml_value_first_calls_from_threads_match_serial_calls():
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
-    special._ratios.cache_clear()
     special._plan.cache_clear()
     serial = values()
     assert all(r == serial for r in results)
 
 
 @pytest.mark.parametrize("g, length", [(1.0, TERM_CAP), (0.6, TERM_CAP), (0.0, 0), (-5.0, 5), (-3000.0, TERM_CAP)])
-def test_a_known_triple_builds_no_new_ratio_table(g, length):
+def test_a_known_triple_builds_no_new_plan(g, length):
     rho, mu = 0.37, 1.13  # a triple no other test uses
-    ml_value(rho, mu, g, -0.3)
-    ml_eval(MLParams(rho, mu, g), 0.2)
-    misses = special._ratios.cache_info().misses
-    for z in (-2.5, 0.7, 1e-9, 0.0):
-        for call in (lambda: ml_value(rho, mu, g, z), lambda: ml_eval(MLParams(rho, mu, g), z)):
-            with contextlib.suppress(ConvergenceError):
-                call()
-    assert special._ratios.cache_info().misses == misses
-    assert len(special._ratios(rho, mu, g)) == length
+
+    def calls():
+        for z in (-0.3, 0.2, -2.5, 0.7, 1e-9, 0.0):
+            for call in (lambda: ml_value(rho, mu, g, z), lambda: ml_eval(MLParams(rho, mu, g), z)):
+                with contextlib.suppress(ConvergenceError):
+                    call()
+
+    calls()
+    misses = special._plan.cache_info().misses
+    calls()
+    assert special._plan.cache_info().misses == misses
+    assert sum(1 for _ in special._ratios(rho, mu, g)) == length
+
+
+def test_a_fresh_triple_evaluates_only_the_log_gammas_it_needs(monkeypatch):
+    counted = []
+    lgamma = math.lgamma
+    monkeypatch.setattr(math, "lgamma", lambda x: counted.append(x) or lgamma(x))
+    ml_value(0.41, 1.17, 1.0, -0.3)  # triples no other test uses
+    first_value = len(counted)
+    ml_eval(MLParams(0.43, 1.19, 1.0), -0.3)
+    assert first_value < 100 and len(counted) - first_value < 100, (first_value, len(counted))
 
 
 @pytest.mark.parametrize("g", [math.inf, -math.inf, math.nan])
@@ -346,11 +357,11 @@ def test_non_finite_third_parameter_is_a_domain_error(g):
 
 @pytest.mark.parametrize("rho, mu", [(-0.01, 1.0), (0.5, 0.0), (math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0)])
 def test_bad_rho_or_mu_is_a_domain_error_that_caches_nothing(rho, mu):
-    size = special._ratios.cache_info().currsize
+    size = special._plan.cache_info().currsize
     for z in (0.1, -0.3, 0.0):
         with pytest.raises(DomainError, match="rho > 0" if not 0 < rho < math.inf else "mu > 0"):
             ml_value(rho, mu, 1.0, z)
-    assert special._ratios.cache_info().currsize == size
+    assert special._plan.cache_info().currsize == size
 
 
 @pytest.mark.parametrize("rho, mu", [(1e303, 1.0), (0.5, 1e306)])
@@ -406,14 +417,13 @@ def test_band_plans_are_short_and_ml_value_raises_exactly_where_the_loop_raises(
 
 
 def test_per_parameter_caches_are_bounded():
-    for cached in (special._ratios, special._plan, special.exp_sum_kernel, quadrature._grading):
+    for cached in (special._plan, special.exp_sum_kernel, quadrature._grading):
         assert cached.cache_info().maxsize is not None
 
 
 @pytest.mark.parametrize("cached, args", [
-    (special._ratios, lambda i: (0.5, 1.0 + i / 1024, 1.0)),
     (quadrature._grading, lambda i: (1.0, 0.5 + i / 1024)),
-], ids=["ratios", "grading"])
+], ids=["grading"])
 def test_cache_stops_at_its_bound_and_rebuilds_the_same_value(cached, args):
     bound = cached.cache_info().maxsize
     first = cached(*args(0))

@@ -310,6 +310,19 @@ class TestQuadraticPotential:
             with pytest.raises(DomainError, match="finite"):
                 solve_quadratic_potential(HALF, c, y0, b, SolverConfig(fp_max_iter=1))
 
+    @pytest.mark.parametrize("field, value, match", [
+        ("grid_n", 8.5, "grid_n must be an integer"),
+        ("grid_n", True, "grid_n must be an integer"),
+        ("fp_max_iter", 10.0, "fp_max_iter must be an integer"),
+        ("fp_max_iter", False, "fp_max_iter must be an integer"),
+        ("fp_tol", math.inf, "fp_tol must be finite and positive"),
+        ("fp_tol", math.nan, "fp_tol must be finite and positive"),
+        ("fp_tol", 0.0, "fp_tol must be finite and positive"),
+    ])
+    def test_solver_config_rejects_a_bad_value(self, field, value, match):
+        with pytest.raises(DomainError, match=match):
+            SolverConfig(**{field: value})
+
     @pytest.mark.parametrize("n", [16, 64, 800])
     @pytest.mark.parametrize("alpha", [0.25, 0.75])
     def test_matches_dense_system(self, n, alpha):
