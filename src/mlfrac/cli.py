@@ -84,8 +84,9 @@ def _parse_interval(text: str) -> tuple[float, float]:
         lo, hi = float(lo_s), float(hi_s)
     except ValueError:
         raise argparse.ArgumentTypeError(f"interval must look like a:b, got {text!r}")
-    if not -math.inf < lo < hi < math.inf:
-        raise argparse.ArgumentTypeError(f"interval needs finite a < b, got {text!r}")
+    # a width past the largest float would make every grid node nan
+    if not (-math.inf < lo < hi < math.inf and hi - lo < math.inf):
+        raise argparse.ArgumentTypeError(f"interval needs finite a < b and b - a, got {text!r}")
     return lo, hi
 
 
@@ -265,18 +266,11 @@ def _run_grid_command(args: argparse.Namespace) -> int:
     kind, side_name = args.op.split("-")
     side = Side.Left if side_name == "left" else Side.Right
     ord_ = FracOrder(args.alpha, args.b_norm)
-    if kind == "ab":
-        op = lambda t: ab_integral(side, f, ord_, t)
-    elif kind == "rl" and args.command == "integ":
-        op = lambda t: rl_integral(side, f, ord_, t)
-    elif kind == "abc":
-        op = lambda t: abc_derivative(side, f, ord_, t)
-    elif kind == "abr":
-        op = lambda t: abr_derivative(side, f, ord_, t)
-    else:
-        op = lambda t: rl_derivative(side, f, args.alpha, t)
+    # looked up per call, so a name patched on this module is the one called
+    rl = rl_integral if args.command == "integ" else rl_derivative
+    op = {"ab": ab_integral, "rl": rl, "abc": abc_derivative, "abr": abr_derivative}[kind]
     # --grid counts emitted nodes; the grid type counts cells
-    grid = _eval_grid(op, a, b, args.grid - 1)
+    grid = _eval_grid(functools.partial(op, side, f, ord_), a, b, args.grid - 1)
     _emit(_grid_csv(grid) if args.format == "csv" else _grid_json(grid), args.out)
     return 0
 
@@ -296,11 +290,12 @@ def _verify_reports(args: argparse.Namespace) -> list:
             raise argparse.ArgumentError(None, f"{flag} is not read by {where}")
     if args.id is None:
         return run_default_suite(args.tol)
-    side = Side.Left if args.side == "left" else Side.Right
-    flags = vars(args) | {"ord": FracOrder(args.alpha, args.b_norm), "side": side}
+    # built only for a check that reads them: convolution and diff-formula
+    # take --alpha as a Mittag-Leffler rho, which no FracOrder bounds
+    built = {"ord": lambda: FracOrder(args.alpha, args.b_norm), "side": lambda: Side[args.side.title()]}
     a, b = args.interval
     fns = [to_real_function(parse_expr(t or default), a, b) for t, default in zip((args.fn, args.fn2), texts)]
-    operands = [*fns, *(flags[name] for name in after)]
+    operands = [*fns, *(built[name]() if name in built else getattr(args, name) for name in after)]
     return [check(*operands) if args.tol is None else check(*operands, tol=args.tol)]
 
 

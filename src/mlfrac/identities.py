@@ -113,17 +113,18 @@ def _base_params(ord_: FracOrder, a: float, b: float, **labels: str) -> dict:
     return {"alpha": ord_.alpha, "B": ord_.b_norm, "interval": (a, b)} | labels
 
 
-def _outer_integral(fn: Callable[[float], float], side: Side, alpha: float, a: float, b: float) -> float:
-    """Integral over [a, b] of fn = u * Op(v), Op an operator of order alpha
-    anchored on ``side``.
+def _outer_integral(u: RealFunction, op: Callable, side: Side, v: RealFunction, ord_: FracOrder) -> float:
+    """Integral over v's [a, b] of u * Op(v), Op = ``op(side, v, ord_, x)`` at
+    the inner tolerances.
 
     Op(v) behaves like dist^alpha at its anchor, so the half of [a, b] there is
     graded for that power.  The other half gets a square-root grading, which
     leaves a smooth integrand smooth and makes a (far - x)^(k/2) endpoint of a
     test function analytic.
     """
-    anchor, far = (a, b) if side is Side.Left else (b, a)
-    return power_quad(fn, anchor, far, 1.0, 0.5, _OUTER, cusp=(anchor, alpha))
+    anchor, far = (v.a, v.b) if side is Side.Left else (v.b, v.a)
+    fn = lambda x: u.fn(x) * op(side, v, ord_, x, _INNER)
+    return power_quad(fn, anchor, far, 1.0, 0.5, _OUTER, cusp=(anchor, ord_.alpha))
 
 
 def _interior_grid(a: float, b: float, m: int, margin: float = 0.1) -> list[float]:
@@ -143,17 +144,13 @@ def verify_ibp_integrals(
     First pair:  int phi (AB-I_left psi)  against  int psi (AB-I_right phi);
     second pair swaps the operator sides.
     """
-    a, b = phi.a, phi.b
-
-    def outer(u: RealFunction, v: RealFunction, side: Side) -> float:
-        return _outer_integral(
-            lambda x: u.fn(x) * ab_integral(side, v, ord_, x, _INNER), side, ord_.alpha, a, b
-        )
-
     def sides():
-        return zip(*[(outer(phi, psi, s), outer(psi, phi, opposite(s))) for s in (Side.Left, Side.Right)])
+        return zip(*[(_outer_integral(phi, ab_integral, s, psi, ord_),
+                      _outer_integral(psi, ab_integral, opposite(s), phi, ord_))
+                     for s in (Side.Left, Side.Right)])
 
-    return _report("ibp-integrals", _base_params(ord_, a, b, phi=phi.label, psi=psi.label), tol, sides)
+    params = _base_params(ord_, phi.a, phi.b, phi=phi.label, psi=psi.label)
+    return _report("ibp-integrals", params, tol, sides)
 
 
 def verify_ibp_derivatives(
@@ -163,20 +160,11 @@ def verify_ibp_derivatives(
     tol: float = DEFAULT_TOL,
 ) -> IdentityReport:
     """int f (ABR-left g) against int (ABR-right f) g."""
-    a, b = f.a, f.b
-
     def sides():
-        lhs = _outer_integral(
-            lambda x: f.fn(x) * abr_derivative(Side.Left, g, ord_, x, _INNER),
-            Side.Left, ord_.alpha, a, b,
-        )
-        rhs = _outer_integral(
-            lambda x: abr_derivative(Side.Right, f, ord_, x, _INNER) * g.fn(x),
-            Side.Right, ord_.alpha, a, b,
-        )
-        return lhs, rhs
+        return (_outer_integral(f, abr_derivative, Side.Left, g, ord_),
+                _outer_integral(g, abr_derivative, Side.Right, f, ord_))
 
-    return _report("ibp-derivatives", _base_params(ord_, a, b, f=f.label, g=g.label), tol, sides)
+    return _report("ibp-derivatives", _base_params(ord_, f.a, f.b, f=f.label, g=g.label), tol, sides)
 
 
 def verify_caputo_ibp(
@@ -198,12 +186,8 @@ def verify_caputo_ibp(
 
     def sides():
         lam, scale = ord_.lam, ord_.scale
-        lhs = _outer_integral(
-            lambda t: abc_derivative(side, f, ord_, t, _INNER) * g.fn(t), side, ord_.alpha, a, b
-        )
-        integral = _outer_integral(
-            lambda t: f.fn(t) * abr_derivative(other, g, ord_, t, _INNER), other, ord_.alpha, a, b
-        )
+        lhs = _outer_integral(g, abc_derivative, side, f, ord_)
+        integral = _outer_integral(f, abr_derivative, other, g, ord_)
         eg = lambda t: gen_ml_integral(other, kernel, lam, g, t, _INNER)
         boundary = f.fn(b) * eg(b) - f.fn(a) * eg(a)
         return lhs, integral + side.sign * scale * boundary
@@ -286,6 +270,9 @@ def verify_convolution(
     matching kernel collapses to a single higher-parameter ML value."""
     if nu <= 0.0:
         raise DomainError(f"convolution check needs nu > 0, got {nu!r}")
+    if not 0.0 < x < math.inf:
+        # the operand lives on [0, x]: refused here, not reported as a failed side
+        raise DomainError(f"convolution check needs a finite x > 0, got {x!r}")
     params = {"alpha": alpha, "B": 1.0, "interval": (0.0, x), "sigma": sigma, "nu": nu, "lambda": lambda_}
 
     def sides():

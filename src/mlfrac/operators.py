@@ -230,14 +230,15 @@ def abr_derivative_kernel_diff(
 
 
 def rl_derivative(
-    side: Side, f: RealFunction, alpha: float, t: float, cfg: QuadConfig | None = None
+    side: Side, f: RealFunction, ord_: FracOrder, t: float, cfg: QuadConfig | None = None
 ) -> float:
-    """Classical RL derivative of order alpha in (0, 1), differentiated form.
+    """Classical RL derivative of order alpha = ord_.alpha in (0, 1), differentiated form.
 
     f(c)|t-c|^(-alpha)/Gamma(1-alpha) + sign * I^(1-alpha)[f'](t) with the
     anchor c; the side sign carries the -d/dt convention of the right side.
     """
-    if not (0.0 < alpha < 1.0):
+    alpha = ord_.alpha
+    if alpha >= 1.0:
         raise DomainError(f"rl_derivative requires alpha in (0, 1), got {alpha!r}")
     if not f.contains(t):
         raise DomainError(f"t={t!r} outside [{f.a!r}, {f.b!r}]")

@@ -15,8 +15,9 @@ Riemann-Liouville integral and derivative and the generalized Mittag-Leffler
 integral behind both ML-kernel derivatives use it.  An anchor below t gives
 the left integral, one above t the right one.  Breakpoints the operand
 declares (``RealFunction.breaks``, the nodes of a grid interpolant) split the
-range, as QUADPACK's QAGP does: each piece between them is one adaptive call,
-so no panel straddles a known kink.  A cusp the operand declares at the
+range at the points QUADPACK's QAGP would take, but where QAGP seeds one
+globally adaptive process with the break intervals, each piece here is its
+own adaptive call at abs_tol/k, so no panel straddles a known kink.  A cusp the operand declares at the
 anchor (``RealFunction.cusp``) is graded there as well; none is assumed,
 since grading both ends would double the work on smooth operands.
 """

@@ -71,7 +71,6 @@ class PicardResult:
     contraction_q: float | None
     contraction_bound: float
     residual_sup: float
-    converged: bool
 
 
 def residual_grid(b: float, n: int = 20, start_frac: float = 0.1) -> GridFunction:
@@ -335,5 +334,4 @@ def solve_quadratic_potential(
         contraction_q=q,
         contraction_bound=bound,
         residual_sup=residual,
-        converged=True,
     )

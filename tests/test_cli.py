@@ -16,7 +16,17 @@ import pytest
 
 from mlfrac import expr
 from mlfrac.cli import CHECKS, _grid_csv, _grid_json, run_cli
-from mlfrac.operators import GridFunction
+from mlfrac.errors import SingularityError
+from mlfrac.operators import (
+    FracOrder,
+    GridFunction,
+    Side,
+    ab_integral,
+    abc_derivative,
+    abr_derivative,
+    rl_derivative,
+    rl_integral,
+)
 
 SQPI = math.sqrt(math.pi)
 SRC_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -204,10 +214,32 @@ class TestGridCommands:
         assert p.returncode == 0
 
     def test_non_finite_interval_is_usage_error(self):
-        for interval in ("0:inf", "-inf:1", "nan:1"):
-            p = mlfrac("integ", "--op", "ab-left", "--alpha", "0.5", "--fn", "x", f"--interval={interval}")
+        # the last one's width overflows: np.linspace would warn and make every node nan
+        for interval in ("0:inf", "-inf:1", "nan:1", "-1e308:1e308"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                p = mlfrac("integ", "--op", "ab-left", "--alpha", "0.5", "--fn", "x", f"--interval={interval}")
             assert p.returncode == 2
             assert "interval needs finite a < b" in p.stderr and "Warning" not in p.stderr
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    @pytest.mark.parametrize("command, kind, op", [
+        ("integ", "ab", ab_integral), ("integ", "rl", rl_integral), ("deriv", "abc", abc_derivative),
+        ("deriv", "abr", abr_derivative), ("deriv", "rl", rl_derivative),
+    ], ids=["integ-ab", "integ-rl", "deriv-abc", "deriv-abr", "deriv-rl"])
+    def test_every_grid_op_reaches_its_own_operator(self, command, kind, op, side):
+        p = mlfrac(command, "--op", f"{kind}-{side}", "--alpha", "0.5", "--fn", "x^2+sin(x)", "--grid", "5")
+        assert p.returncode == 0, p.stderr
+        f = expr.to_real_function(expr.parse_expr("x^2+sin(x)"), 0.0, 1.0)
+        rows = [line.split(",") for line in p.stdout.strip().split("\n")[1:]]
+        assert [float(t) for t, _ in rows] == [0.0, 0.25, 0.5, 0.75, 1.0]
+        for t, printed in rows:
+            try:
+                value = op(Side[side.title()], f, FracOrder(0.5), float(t))
+            except SingularityError:  # rl-right: f(1) != 0 at its anchor
+                assert printed == "sing(inf)", t
+                continue
+            assert repr(float(printed)) == repr(value), t
 
     def test_negative_interval_after_a_space(self):
         # argparse alone would read "-1:1" as an unknown option
@@ -336,6 +368,21 @@ class TestVerifyCommand:
         p = mlfrac("verify", "--id", "diff-formula", "--z", z)
         assert p.returncode == 0, p.stderr
         assert json.loads(p.stdout)["abs_err"] <= 1e-9
+
+    @pytest.mark.parametrize("check_id", ["convolution", "diff-formula"])
+    def test_alpha_above_one_reaches_the_ml_checks(self, check_id):
+        # these two checks read --alpha as the ML rho, not as a FracOrder
+        p = mlfrac("verify", "--id", check_id, "--alpha", "1.5")
+        assert p.returncode == 0, p.stderr
+        payload = json.loads(p.stdout)
+        assert payload["pass"] is True and payload["alpha"] == 1.5
+
+    @pytest.mark.parametrize("x", ["0", "-1", "nan", "inf"])
+    def test_convolution_x_outside_the_positive_reals_is_numeric_error(self, x):
+        p = mlfrac("verify", "--id", "convolution", "--x", x)
+        assert p.returncode == 3
+        assert p.stderr.startswith("error: convolution check needs a finite x > 0")
+        assert "Traceback" not in p.stderr and p.stdout == ""
 
     def test_convolution_custom_params(self):
         p = mlfrac("verify", "--id", "convolution", "--alpha", "0.5",

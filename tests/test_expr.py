@@ -26,7 +26,7 @@ from mlfrac.expr import (
     to_real_function,
     to_string,
 )
-from mlfrac.operators import Side, rl_derivative
+from mlfrac.operators import FracOrder, Side, rl_derivative
 from mlfrac.quadrature import central_diff
 
 
@@ -293,7 +293,7 @@ def test_gamma_blocks_symbolic_derivative():
                 want = float(
                     (mpmath.gamma(a + 1) * (t - a) ** -alpha + slope_part) / mpmath.gamma(1 - alpha)
                 )
-            got = rl_derivative(Side.Left, f, alpha, t)
+            got = rl_derivative(Side.Left, f, FracOrder(alpha), t)
             assert abs(got - want) <= 1e-10 * abs(want), (alpha, t)
 
 

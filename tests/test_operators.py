@@ -302,7 +302,7 @@ class TestRlDerivative:
                        deriv=lambda x, beta=beta: beta * x ** (beta - 1.0) if x > 0 else 0.0)
                 for t in (0.4, 1.0):
                     want = math.gamma(beta + 1.0) * t ** (beta - alpha) / math.gamma(beta + 1.0 - alpha)
-                    assert abs(rl_derivative(Side.Left, f, alpha, t) - want) <= 1e-8
+                    assert abs(rl_derivative(Side.Left, f, FracOrder(alpha), t) - want) <= 1e-8
 
     def test_power_rule_singular_slope(self):
         # beta = 1/2 has f' ~ x^(-1/2): integrable endpoint singularity, so
@@ -312,31 +312,35 @@ class TestRlDerivative:
         for alpha in (0.25, 0.5):
             t = 0.8
             want = math.gamma(1.5) * t ** (0.5 - alpha) / math.gamma(1.5 - alpha)
-            assert abs(rl_derivative(Side.Left, f, alpha, t, cfg) - want) <= 1e-6
+            assert abs(rl_derivative(Side.Left, f, FracOrder(alpha), t, cfg) - want) <= 1e-6
 
     def test_constant(self):
         c = rf(lambda x: 1.0, deriv=lambda x: 0.0)
         for t in (0.3, 1.0):
             want = t**-0.5 / math.gamma(0.5)
-            assert abs(rl_derivative(Side.Left, c, 0.5, t) - want) <= 1e-12
+            assert abs(rl_derivative(Side.Left, c, HALF, t) - want) <= 1e-12
 
     def test_alpha_near_one_limit(self):
         f = rf(lambda x: x * x, deriv=lambda x: 2.0 * x)
         for t in (0.5, 1.0):
-            assert abs(rl_derivative(Side.Left, f, 0.999, t) - 2.0 * t) <= 2e-2
+            assert abs(rl_derivative(Side.Left, f, FracOrder(0.999), t) - 2.0 * t) <= 2e-2
 
     def test_singularity_at_anchor(self):
         with pytest.raises(SingularityError):
-            rl_derivative(Side.Left, rf(lambda x: 1.0), 0.5, 0.0)
-        assert rl_derivative(Side.Left, X, 0.5, 0.0) == 0.0
+            rl_derivative(Side.Left, rf(lambda x: 1.0), HALF, 0.0)
+        assert rl_derivative(Side.Left, X, HALF, 0.0) == 0.0
         with pytest.raises(SingularityError):
-            rl_derivative(Side.Right, rf(lambda x: 1.0), 0.5, 1.0)
+            rl_derivative(Side.Right, rf(lambda x: 1.0), HALF, 1.0)
+
+    def test_order_one_is_refused(self):
+        with pytest.raises(DomainError, match=r"rl_derivative requires alpha in \(0, 1\), got 1.0"):
+            rl_derivative(Side.Left, X, FracOrder(1.0), 0.5)
 
     def test_right_power_rule(self):
         f = rf(lambda x: (1.0 - x) ** 2, deriv=lambda x: -2.0 * (1.0 - x))
         for t in (0.2, 0.7):
             want = math.gamma(3.0) * (1.0 - t) ** 1.5 / math.gamma(2.5)
-            assert abs(rl_derivative(Side.Right, f, 0.5, t) - want) <= 1e-8
+            assert abs(rl_derivative(Side.Right, f, HALF, t) - want) <= 1e-8
 
 
 class TestSmallOrders:
@@ -351,7 +355,7 @@ class TestSmallOrders:
                         op(side, X, FracOrder(alpha), 0.5)
         for alpha in (0.9999, math.nextafter(1.0, 0.0)):
             with pytest.raises(DomainError, match="grading power"):
-                rl_derivative(Side.Left, X, alpha, 0.5)
+                rl_derivative(Side.Left, X, FracOrder(alpha), 0.5)
 
     @pytest.mark.parametrize("alpha", [1e-3, 1.001e-3, 2e-3])
     @pytest.mark.parametrize("side", [Side.Left, Side.Right])
@@ -373,7 +377,7 @@ class TestSmallOrders:
             "rl": rl_integral(side, f, o, t),
             "ab": ab_integral(side, f, o, t),
             "kernel": abr_derivative(side, f, o, t),
-            "rld": rl_derivative(side, f, 1.0 - alpha, t),
+            "rld": rl_derivative(side, f, FracOrder(1.0 - alpha), t),
         }
         for name, value in got.items():
             assert abs(value - float(want[name])) <= 1e-12, name
@@ -403,7 +407,7 @@ class TestQReflect:
             lambda s, f, t: abc_derivative(s, f, o, t),
             lambda s, f, t: abr_derivative(s, f, o, t),
             lambda s, f, t: abr_derivative_kernel_diff(s, f, o, t),
-            lambda s, f, t: rl_derivative(s, f, o.alpha, t),
+            lambda s, f, t: rl_derivative(s, f, o, t),
             # mu below and above 1: the substitution's powers differ
             lambda s, f, t: gen_ml_integral(s, MLParams(o.alpha, 0.7, 1.0), -0.8, f, t),
             lambda s, f, t: gen_ml_integral(s, MLParams(o.alpha, 1.5, 2.0), -0.8, f, t),

