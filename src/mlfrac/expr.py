@@ -17,13 +17,15 @@ limit allows, one frame per link; deeper input is an ExprSyntaxError.
 Parsed expressions evaluate to floats and differentiate symbolically,
 except through gamma, whose derivative needs digamma; for those
 rl_derivative, the one operator reading f', takes finite differences.
-:func:`to_real_function` compiles a tree at its first use, and builds
-(folded, so ``1.5*x^2`` has the derivative ``1.5*(2*x)``) and compiles its
-derivative at the derivative's first call, to straight-line Python code with
-one assignment per node; the tree walker :func:`evaluate` is the reference
-those functions match bit for bit and the path that raises their domain
-errors.  Both steps are memoized (the last 256 texts and trees), so a
-process parses and compiles each text once.
+:func:`to_real_function` builds a tree's function and its derivative
+(folded, so ``1.5*x^2`` has the derivative ``1.5*(2*x)``) together at the
+tree's first use, as straight-line Python code with one assignment per
+node; the tree walker :func:`evaluate` is the reference those functions
+match bit for bit and the path that raises their domain errors.  Both steps
+are memoized (the last 256 texts and trees), so a process parses each text
+and builds its function and derivative once.  A tree too deep for either,
+such as a tower x^x^...^x some hundreds high, is an ExprSyntaxError for
+every command, even one that never reads the derivative.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ import functools
 import math
 import operator
 import re
-import threading
 from dataclasses import dataclass
 from typing import Callable
 
@@ -223,14 +224,6 @@ def evaluate(node: Expr, x: float) -> float:
     raise TypeError(f"not an Expr node: {node!r}")
 
 
-def _calls_gamma(node: Expr) -> bool:
-    if isinstance(node, Bin):
-        return _calls_gamma(node.left) or _calls_gamma(node.right)
-    if isinstance(node, Call) and node.fn == "gamma":
-        return True
-    return isinstance(node, (Neg, Call)) and _calls_gamma(node.arg)
-
-
 _ZERO, _ONE = Num(0.0), Num(1.0)
 
 
@@ -263,7 +256,8 @@ def _neg(arg: Expr) -> Expr:
 def differentiate(node: Expr) -> Expr | None:
     """Symbolic derivative with respect to x, or None when the expression
     contains gamma (whose derivative leaves the grammar).  It is folded as
-    it is built (:func:`_bin`), and built only at the derivative's first call."""
+    it is built (:func:`_bin`); :func:`to_real_function` builds it once per
+    tree, with the tree's function."""
     return _derive(node)[0]
 
 
@@ -405,27 +399,6 @@ def _compile(node: Expr) -> Callable[[float], float]:
     return scope.pop("compiled")  # scope keeps no reference back: no cycle for the collector
 
 
-def _deferred(node: Expr) -> Callable[[float], float]:
-    """The derivative of node, taken by :func:`differentiate` and compiled by
-    :func:`_compile` at the first call, once even when threads make that call
-    together.  The closure holds no reference back to itself, so it leaves
-    nothing for the cyclic collector."""
-    compiled: list[Callable[[float], float]] = []
-    lock = threading.Lock()
-
-    def deferred(x: float) -> float:
-        if not compiled:
-            with lock:
-                if not compiled:
-                    try:
-                        compiled.append(_compile(differentiate(node)))
-                    except RecursionError:
-                        raise ExprSyntaxError("expression nested too deeply", 0) from None
-        return compiled[0](x)
-
-    return deferred
-
-
 class _Same:
     """A tree hashed and compared by identity: value equality would walk the
     tree per lookup, and takes Num(0.0) for Num(-0.0)."""
@@ -445,17 +418,17 @@ def _built(key: _Same) -> tuple:
     """(fn, deriv, label) of key's tree.  The entry holds the tree, so its id
     is not reused while the entry lives, and nothing refers back to it."""
     node = key.node
-    return _compile(node), None if _calls_gamma(node) else _deferred(node), to_string(node)
+    d = differentiate(node)
+    return _compile(node), None if d is None else _compile(d), to_string(node)
 
 
 def to_real_function(node: Expr, a: float, b: float) -> RealFunction:
-    """Wrap an expression (and its symbolic derivative, when it exists) as a
-    new RealFunction on [a, b].  The tree is compiled by :func:`_compile` at
-    its first use.  Its derivative exists unless it calls gamma, so ``deriv
-    is None`` exactly then; it is taken and compiled only when first called,
-    which only rl_derivative does, once for all functions of the tree."""
+    """Wrap an expression and its symbolic derivative, which exists unless the
+    tree calls gamma (``deriv is None`` exactly then), as a new RealFunction
+    on [a, b].  Both are compiled at the tree's first use, once for all its
+    functions; a tree too deep for either raises ExprSyntaxError."""
     try:
         fn, deriv, label = _built(_Same(node))
         return RealFunction(fn=fn, a=a, b=b, deriv=deriv, label=label)
-    except RecursionError:  # a long flat chain, which the parser builds without recursing
+    except RecursionError:  # a flat chain the parser built in a loop, or a tall tower
         raise ExprSyntaxError("expression nested too deeply", 0) from None

@@ -6,7 +6,8 @@ direct series evaluation) so that a shared bug cannot certify itself.  It
 hands a closure of its two sides to :func:`_report`, the one runner, which
 returns an :class:`IdentityReport` instead of raising: a side that raises
 MlfracError or OverflowError gives a failed report, both sides NaN, that
-names the error.  Argument checks made before any side is computed raise.
+names the error.  A bad argument, such as a NaN parameter or two operands on
+different intervals, raises DomainError before any side is computed.
 
 The outer integrals of u * Op(v) know where their integrand is singular:
 Op(v) behaves like dist^alpha at Op's anchor.  They integrate through the
@@ -107,10 +108,22 @@ def _report(name: str, params: dict, tol: float, sides: Callable[[], tuple]) -> 
     return IdentityReport(name, params, lhs, rhs, tol)
 
 
-def _base_params(ord_: FracOrder, a: float, b: float, **labels: str) -> dict:
-    """Order, interval and the nonempty ``labels`` (operand labels, side)."""
+def _base_params(ord_: FracOrder, u: RealFunction, *others: RealFunction, **labels: str) -> dict:
+    """Order, the interval of the operands and the nonempty ``labels``
+    (operand labels, side); DomainError if the operands' intervals differ."""
+    for v in others:
+        if (v.a, v.b) != (u.a, u.b):
+            raise DomainError(f"operands on different intervals: [{u.a:g}, {u.b:g}] and [{v.a:g}, {v.b:g}]")
     labels = {k: v for k, v in labels.items() if v}
-    return {"alpha": ord_.alpha, "B": ord_.b_norm, "interval": (a, b)} | labels
+    return {"alpha": ord_.alpha, "B": ord_.b_norm, "interval": (u.a, u.b)} | labels
+
+
+def _check_args(owner: str, *bounds: tuple[str, float, float]) -> None:
+    """DomainError unless floor < value < inf for each (name, value, floor)."""
+    for name, value, floor in bounds:
+        if not floor < value < math.inf:
+            above = "" if floor == -math.inf else f" > {floor:g}"
+            raise DomainError(f"{owner} needs a finite {name}{above}, got {value!r}")
 
 
 def _outer_integral(u: RealFunction, op: Callable, side: Side, v: RealFunction, ord_: FracOrder) -> float:
@@ -149,7 +162,7 @@ def verify_ibp_integrals(
                       _outer_integral(psi, ab_integral, opposite(s), phi, ord_))
                      for s in (Side.Left, Side.Right)])
 
-    params = _base_params(ord_, phi.a, phi.b, phi=phi.label, psi=psi.label)
+    params = _base_params(ord_, phi, psi, phi=phi.label, psi=psi.label)
     return _report("ibp-integrals", params, tol, sides)
 
 
@@ -164,7 +177,7 @@ def verify_ibp_derivatives(
         return (_outer_integral(f, abr_derivative, Side.Left, g, ord_),
                 _outer_integral(g, abr_derivative, Side.Right, f, ord_))
 
-    return _report("ibp-derivatives", _base_params(ord_, f.a, f.b, f=f.label, g=g.label), tol, sides)
+    return _report("ibp-derivatives", _base_params(ord_, f, g, f=f.label, g=g.label), tol, sides)
 
 
 def verify_caputo_ibp(
@@ -192,7 +205,7 @@ def verify_caputo_ibp(
         boundary = f.fn(b) * eg(b) - f.fn(a) * eg(a)
         return lhs, integral + side.sign * scale * boundary
 
-    return _report("caputo-ibp", _base_params(ord_, a, b, f=f.label, g=g.label, side=side.name), tol, sides)
+    return _report("caputo-ibp", _base_params(ord_, f, g, f=f.label, g=g.label, side=side.name), tol, sides)
 
 
 def verify_caputo_rl_relation(
@@ -209,8 +222,7 @@ def verify_caputo_rl_relation(
     RL-type derivative independently by differentiating the kernel integral
     with a central difference of step h.
     """
-    if not (0.0 < h < math.inf):
-        raise DomainError(f"caputo-rl check needs a finite step h > 0, got h={h!r}")
+    _check_args("caputo-rl check", ("step h", h, 0.0))
     a, b = f.a, f.b
     anchor = side.anchor(f)
 
@@ -226,7 +238,7 @@ def verify_caputo_rl_relation(
         ]
         return lhs, rhs
 
-    params = _base_params(ord_, a, b, f=f.label, side=side.name) | {"h": h}
+    params = _base_params(ord_, f, f=f.label, side=side.name) | {"h": h}
     return _report("caputo-rl-relation", params, tol, sides)
 
 
@@ -254,7 +266,7 @@ def verify_inverse_and_fundamental(
         fv = [f.fn(t) for t in ts]
         return lhs, fv + fv + [v - anchor_val for v in fv]
 
-    params = _base_params(ord_, a, b, f=f.label, side=side.name) | {"compositions": ("D.I", "I.D", "I.Dc")}
+    params = _base_params(ord_, f, f=f.label, side=side.name) | {"compositions": ("D.I", "I.D", "I.Dc")}
     return _report("inverse-fundamental", params, tol, sides)
 
 
@@ -268,11 +280,9 @@ def verify_convolution(
 ) -> IdentityReport:
     """ML convolution: the generalized integral of an eigenfunction against the
     matching kernel collapses to a single higher-parameter ML value."""
-    if nu <= 0.0:
-        raise DomainError(f"convolution check needs nu > 0, got {nu!r}")
-    if not 0.0 < x < math.inf:
-        # the operand lives on [0, x]: refused here, not reported as a failed side
-        raise DomainError(f"convolution check needs a finite x > 0, got {x!r}")
+    # refused here, not reported as a failed side; the operand lives on [0, x]
+    _check_args("convolution check", ("nu", nu, 0.0), ("x", x, 0.0), ("alpha", alpha, 0.0),
+                ("sigma", sigma, -math.inf), ("lambda", lambda_, -math.inf))
     params = {"alpha": alpha, "B": 1.0, "interval": (0.0, x), "sigma": sigma, "nu": nu, "lambda": lambda_}
 
     def sides():
@@ -298,11 +308,11 @@ def verify_diff_formula(
     tol: float = 1e-6,
 ) -> IdentityReport:
     """First-derivative shift: d/dz [z^(mu-1) E(a,mu;g)(l z^a)] = z^(mu-2) E(a,mu-1;g)(l z^a)."""
-    if mu <= 1.0:
-        raise DomainError(f"diff-formula check needs mu > 1, got {mu!r}")
-    if not z > 0.0:
+    _check_args("diff-formula check", ("mu", mu, 1.0), ("alpha", alpha, 0.0),
+                ("gamma", gamma_p, -math.inf), ("lambda", lambda_, -math.inf))
+    if not 0.0 < z < math.inf:
         # the difference quotient samples z - h, where t^alpha must be real
-        raise DomainError(f"diff-formula check needs z > 0 for its d/dz step, got {z!r}")
+        raise DomainError(f"diff-formula check needs z > 0 and finite for its d/dz step, got {z!r}")
     # a step proportional to z keeps both samples clear of the z^alpha cusp at 0
     h = 2e-6 * z
     params = {"alpha": alpha, "B": 1.0, "interval": (z, z), "gamma": gamma_p, "mu": mu, "lambda": lambda_}
@@ -332,8 +342,7 @@ def ml_eigen_closed(kind: str, sigma: float, nu: float, ord_: FracOrder, x: floa
     """
     if kind not in ("ABR", "ABC"):
         raise DomainError(f"kind must be 'ABR' or 'ABC', got {kind!r}")
-    if nu <= 0.0 or x <= 0.0:
-        raise DomainError("ml_eigen_closed requires nu > 0 and x > 0")
+    _check_args("ml_eigen_closed", ("nu", nu, 0.0), ("x", x, 0.0))
     w0, w1 = ord_.ab_weights  # (1-a)/B, a/B; their alpha < 1 gate is all a closed form needs
     lam, scale = -w1 / w0, 1.0 / w0
     return scale * x ** (nu - 1.0) * ml_value(ord_.alpha, nu, 1.0 + sigma, lam * x**ord_.alpha)

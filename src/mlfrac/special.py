@@ -46,7 +46,7 @@ import operator
 import sys
 from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import accumulate, islice, pairwise
+from itertools import accumulate, islice, pairwise, tee
 
 import numpy as np
 
@@ -134,9 +134,11 @@ def _ratios(rho: float, mu: float, gamma_p: float) -> Iterator[float]:
     return ((gamma_p + k) / (k + 1) * math.exp(a - b) for k, (a, b) in enumerate(lg))
 
 
-def _sum_series(rho: float, mu: float, gamma_p: float, z: float) -> tuple[float, int, float]:
-    """(value, terms used, largest term magnitude) of the series at z."""
-    ratios = _ratios(rho, mu, gamma_p)
+def _sum_series(rho: float, mu: float, gamma_p: float, z: float,
+                ratios: Iterator[float] | None = None) -> tuple[float, int, float]:
+    """(value, terms used, largest term magnitude) of the series at z, summed
+    over ratios, by default a fresh :func:`_ratios` stream."""
+    ratios = _ratios(rho, mu, gamma_p) if ratios is None else ratios
     isfinite, stop = math.isfinite, _REL_STOP
     term = math.exp(-math.lgamma(mu))
     total = max_term = term
@@ -210,12 +212,13 @@ def _plan(rho: float, mu: float, gamma_p: float, band: int, negative: bool) -> t
     loop that raises at the edge, or an edge where z^n, a coefficient or a
     Horner partial sum could leave the normal float range, so that ml_value
     needs no such check per call."""
-    ratios = _ratios(rho, mu, gamma_p)  # raises DomainError for bad parameters
+    # the loop at the edge and the coefficients read one stream; bad parameters raise DomainError
+    ratios, loop_ratios = tee(_ratios(rho, mu, gamma_p))
     if gamma_p <= 0.0 and gamma_p == math.floor(gamma_p):
         return ()
     edge = min(2.0 ** ((band + 1) / 4), Z_MAX)
     try:
-        _, n, max_term = _sum_series(rho, mu, gamma_p, -edge if negative else edge)
+        _, n, max_term = _sum_series(rho, mu, gamma_p, -edge if negative else edge, loop_ratios)
     except ConvergenceError:
         return ()
     head = list(islice(ratios, n))

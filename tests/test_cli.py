@@ -329,16 +329,6 @@ class TestVerifyCommand:
         assert payload["lhs"] is None and payload["rhs"] is None
         assert payload["error"].startswith(error)
 
-    @pytest.mark.parametrize("argv", [
-        ("convolution", "--sigma=-inf"), ("convolution", "--sigma=nan"), ("diff-formula", "--gamma-p=inf"),
-    ])
-    def test_report_failed_on_a_non_finite_third_parameter(self, argv):
-        p = mlfrac("verify", "--id", *argv)
-        assert p.returncode == 1, p.stderr
-        payload = json.loads(p.stdout)
-        assert payload["lhs"] is None and payload["rhs"] is None
-        assert payload["error"].startswith("DomainError: Mittag-Leffler series requires finite gamma")
-
     def test_failed_check_never_passes_any_tolerance(self):
         failing = ("verify", "--id", "caputo-rl", "--fn", "1/(x-0.5)")
         for tol in ("inf", "nan", "0", "-1"):
@@ -383,6 +373,18 @@ class TestVerifyCommand:
         assert p.returncode == 3
         assert p.stderr.startswith("error: convolution check needs a finite x > 0")
         assert "Traceback" not in p.stderr and p.stdout == ""
+
+    @pytest.mark.parametrize("argv", [
+        ("convolution", "--nu", "nan"), ("convolution", "--alpha", "nan"), ("convolution", "--lam", "nan"),
+        ("convolution", "--sigma", "inf"), ("convolution", "--sigma", "-inf"), ("convolution", "--sigma", "nan"),
+        ("diff-formula", "--mu", "nan"), ("diff-formula", "--z", "inf"), ("diff-formula", "--gamma-p", "nan"),
+        ("diff-formula", "--gamma-p", "inf"), ("diff-formula", "--lam", "-inf"), ("diff-formula", "--alpha", "0"),
+    ], ids=" ".join)
+    def test_ml_check_argument_outside_its_domain_is_numeric_error(self, argv, capsys):
+        check_id, flag, value = argv
+        assert run_cli(["verify", "--id", check_id, flag, value]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith(f"error: {check_id} check needs ")
 
     def test_convolution_custom_params(self):
         p = mlfrac("verify", "--id", "convolution", "--alpha", "0.5",
@@ -526,6 +528,16 @@ def test_every_readme_cli_command_exits_zero():
         assert p.returncode == 0, (line, p.stderr)
 
 
+def test_readme_library_quick_start_runs():
+    readme = open(os.path.join(os.path.dirname(SRC_DIR), "README.md")).read()
+    block = readme.split("\n## Library quick start\n", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(block, namespace)
+    line = next(line for line in block.splitlines() if line.startswith("ab_integral("))
+    value = eval(line.split("#")[0], namespace)
+    assert abs(value - (0.5 + 2.0 / (3.0 * math.sqrt(math.pi)))) <= 1e-12
+
+
 class TestStrictJson:
     def test_non_finite_values_are_null(self):
         runs = [
@@ -617,14 +629,15 @@ class TestRunCli:
         assert argv[-1] in captured.err
         assert not re.search(r"(^|[\s'\"])_\w", captured.err), captured.err
 
-    @pytest.mark.parametrize("op, compiles", [("abc-left", 1), ("rl-left", 2)])
-    def test_derivative_is_compiled_only_when_read(self, op, compiles, monkeypatch, capsys):
+    @pytest.mark.parametrize("op", ["abc-left", "rl-left"])
+    def test_function_and_derivative_compile_once_per_text(self, op, monkeypatch, capsys):
         calls = []
         compile_ = expr._compile
         monkeypatch.setattr(expr, "_compile", lambda node: calls.append(node) or compile_(node))
         argv = ["deriv", "--op", op, "--alpha", "0.5", "--fn", "x^2+sin(x)", "--grid", "5"]
         assert run_cli(argv) == 0
-        assert len(calls) == compiles
+        assert len(calls) == 2
+        assert run_cli(argv) == 0 and len(calls) == 2
         assert capsys.readouterr().out.startswith("t,value\n")
 
     def test_commands_on_one_text_share_its_derivative(self, monkeypatch, capsys):
@@ -638,7 +651,7 @@ class TestRunCli:
         assert len(calls) == 1
         assert capsys.readouterr().out.endswith(first)
 
-    def test_deferred_compile_too_deep_is_usage_error(self, monkeypatch, capsys):
+    def test_derivative_too_deep_is_usage_error(self, monkeypatch, capsys):
         compile_ = expr._compile
 
         def fn_only(node):
@@ -649,7 +662,15 @@ class TestRunCli:
 
         fn_only.done = False
         monkeypatch.setattr(expr, "_compile", fn_only)
-        argv = ["deriv", "--op", "rl-left", "--alpha", "0.5", "--fn", "x^2+sin(x)", "--grid", "5"]
+        argv = ["integ", "--op", "ab-left", "--alpha", "0.5", "--fn", "x^2+sin(x)", "--grid", "5"]
+        assert run_cli(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "nested too deeply" in captured.err
+
+    def test_tower_too_deep_to_differentiate_is_usage_error(self, capsys):
+        # its function compiles, so only the symbolic derivative overflows
+        tower = "^".join(["x"] * 400)
+        argv = ["integ", "--op", "ab-left", "--alpha", "0.5", "--interval", "0.5:1", "--fn", tower, "--grid", "3"]
         assert run_cli(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and "nested too deeply" in captured.err

@@ -239,26 +239,37 @@ def test_negative_literal_prints_with_its_sign():
     assert evaluate(parse_expr(to_string(tree)), 3.0) == -8.0
 
 
-def test_derivative_is_taken_at_its_first_call(monkeypatch):
+def test_derivative_is_taken_with_its_function(monkeypatch):
     calls = []
-    differentiate_ = expr.differentiate
-    monkeypatch.setattr(expr, "differentiate", lambda node: calls.append(node) or differentiate_(node))
-    assert to_real_function(parse_expr("gamma(x+1)*x"), 0.5, 1.0).deriv is None
-    f = to_real_function(parse_expr("x^2"), 0.0, 1.0)
-    assert calls == []
-    assert f.deriv(0.25) == 0.5 and calls[0] == parse_expr("x^2")
-    taken = len(calls)  # the recursion calls it too
-    assert f.deriv(0.75) == 1.5 and len(calls) == taken
+    differentiate_, compile_ = expr.differentiate, expr._compile
+    monkeypatch.setattr(expr, "differentiate", lambda node: calls.append(("d", node)) or differentiate_(node))
+    monkeypatch.setattr(expr, "_compile", lambda node: calls.append(("c", node)) or compile_(node))
+    tree = parse_expr("gamma(x+1)*x")
+    assert to_real_function(tree, 0.5, 1.0).deriv is None
+    assert calls == [("d", tree), ("c", tree)]  # no derivative to compile
+    calls.clear()
+    tree = parse_expr("x^2")
+    f = to_real_function(tree, 0.0, 1.0)
+    assert [kind for kind, _ in calls] == ["d", "c", "c"] and calls[:2] == [("d", tree), ("c", tree)]
+    assert f.deriv(0.25) == 0.5 and f.deriv(0.75) == 1.5
+    # the same text shares f's tree, function and derivative
+    g = to_real_function(parse_expr("x^2"), 0.0, 2.0)
+    assert (g.fn, g.deriv) == (f.fn, f.deriv) and len(calls) == 3
 
     def too_deep(node):
         raise RecursionError
 
     monkeypatch.setattr(expr, "differentiate", too_deep)
-    # the same text shares f's tree and its derivative, already taken
-    assert to_real_function(parse_expr("x^2"), 0.0, 2.0).deriv is f.deriv
-    g = to_real_function(parse_expr("x^3"), 0.0, 1.0)
     with pytest.raises(ExprSyntaxError, match="nested too deeply"):
-        g.deriv(0.5)
+        to_real_function(parse_expr("x^3"), 0.0, 1.0)
+
+
+def test_tower_too_deep_to_differentiate_is_a_syntax_error():
+    # the parser and the compiler take this tower; the derivative overflows
+    tree = parse_expr("^".join(["x"] * 400))
+    assert expr._compile(tree)(1.0) == 1.0
+    with pytest.raises(ExprSyntaxError, match="nested too deeply"):
+        to_real_function(tree, 0.5, 1.0)
 
 
 def test_derivative_of_power_chain_is_linear_in_depth():
@@ -370,7 +381,7 @@ def test_derivative_compiles_once_under_threads(monkeypatch):
     compile_ = expr._compile
     monkeypatch.setattr(expr, "_compile", lambda node: calls.append(node) or compile_(node))
     f = to_real_function(parse_expr("x^3 + sin(x)*exp(x)"), 0.0, 1.0)
-    assert len(calls) == 1 and f.deriv is not None
+    assert len(calls) == 2 and f.deriv is not None
     start = threading.Barrier(4)
     xs = [0.1 * i for i in range(11)]
     results = [None] * 4

@@ -122,6 +122,14 @@ class TestCaputoIbp:
         assert abs(r.lhs[0]) <= 1e-12 and abs(r.rhs[0]) <= 1e-12
 
 
+@pytest.mark.parametrize("check", [verify_ibp_integrals, verify_ibp_derivatives, verify_caputo_ibp])
+def test_operands_on_different_intervals_are_refused(check):
+    # in both orders, so neither operand's interval may stand for the pair's
+    for u, v in ((X, poly([1.0, -1.0], 0.0, 2.0)), (poly([1.0, -1.0], 0.5, 1.0), X)):
+        with pytest.raises(DomainError, match="operands on different intervals"):
+            check(u, v, HALF)
+
+
 class TestCaputoRlRelation:
     def test_constant(self):
         # small d/dt step: the difference-quotient truncation is the whole gap
