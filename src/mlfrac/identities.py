@@ -40,7 +40,7 @@ from .operators import (
     gen_ml_integral,
     opposite,
 )
-from .quadrature import QuadConfig, RealFunction, power_quad
+from .quadrature import DEFAULT_QUAD, QuadConfig, RealFunction, power_quad
 # unused here, but bench/tracing.py patches identities.adaptive_gl
 from .quadrature import adaptive_gl  # noqa: F401
 from .special import MLParams, ml_one, ml_value
@@ -53,7 +53,6 @@ DEFAULT_TOL = 1e-5
 # the inner quadrature noise, and asking the outer estimate to go below that
 # noise floor stalls.  Each of their two graded halves gets the whole of it.
 _OUTER = QuadConfig(abs_tol=1e-8, rel_tol=1e-8)
-_INNER = QuadConfig(abs_tol=1e-10, rel_tol=1e-10)
 _TIGHT = QuadConfig(abs_tol=5e-13, rel_tol=1e-12)
 
 
@@ -136,7 +135,7 @@ def _outer_integral(u: RealFunction, op: Callable, side: Side, v: RealFunction, 
     test function analytic.
     """
     anchor, far = (v.a, v.b) if side is Side.Left else (v.b, v.a)
-    fn = lambda x: u.fn(x) * op(side, v, ord_, x, _INNER)
+    fn = lambda x: u.fn(x) * op(side, v, ord_, x, DEFAULT_QUAD)
     return power_quad(fn, anchor, far, 1.0, 0.5, _OUTER, cusp=(anchor, ord_.alpha))
 
 
@@ -201,7 +200,7 @@ def verify_caputo_ibp(
         lam, scale = ord_.lam, ord_.scale
         lhs = _outer_integral(g, abc_derivative, side, f, ord_)
         integral = _outer_integral(f, abr_derivative, other, g, ord_)
-        eg = lambda t: gen_ml_integral(other, kernel, lam, g, t, _INNER)
+        eg = lambda t: gen_ml_integral(other, kernel, lam, g, t, DEFAULT_QUAD)
         boundary = f.fn(b) * eg(b) - f.fn(a) * eg(a)
         return lhs, integral + side.sign * scale * boundary
 
@@ -259,9 +258,9 @@ def verify_inverse_and_fundamental(
         anchor_val = f.fn(side.anchor(f))
         ts = _interior_grid(a, b, 4, margin=0.15)
         cusp = (side.anchor(f), ord_.alpha)
-        image = lambda op: RealFunction(lambda x: op(side, f, ord_, x, _INNER), a, b, cusp=cusp)
+        image = lambda op: RealFunction(lambda x: op(side, f, ord_, x, DEFAULT_QUAD), a, b, cusp=cusp)
         abi_f, abr_f, abc_f = image(ab_integral), image(abr_derivative), image(abc_derivative)
-        lhs = [abr_derivative_kernel_diff(side, abi_f, ord_, t, _INNER, h=2.5e-4) for t in ts]
+        lhs = [abr_derivative_kernel_diff(side, abi_f, ord_, t, DEFAULT_QUAD, h=2.5e-4) for t in ts]
         lhs += [ab_integral(side, g, ord_, t, _OUTER) for g in (abr_f, abc_f) for t in ts]
         fv = [f.fn(t) for t in ts]
         return lhs, fv + fv + [v - anchor_val for v in fv]
@@ -293,7 +292,7 @@ def verify_convolution(
             a=0.0,
             b=x,
         )
-        lhs = gen_ml_integral(Side.Left, MLParams(alpha, 1.0, 1.0), lambda_, f, x, _INNER)
+        lhs = gen_ml_integral(Side.Left, MLParams(alpha, 1.0, 1.0), lambda_, f, x, DEFAULT_QUAD)
         return lhs, x**nu * ml_value(alpha, 1.0 + nu, 1.0 + sigma, lambda_ * x**alpha)
 
     return _report("convolution", params, tol, sides)
@@ -328,8 +327,7 @@ def verify_diff_formula(
 def zero_mode(ord_: FracOrder, x: float) -> float:
     """The nonzero function annihilated (in the vanishing-parameter limit) by
     both ML-kernel derivatives: alpha x^(alpha-1) / (B(alpha) Gamma(alpha))."""
-    if x <= 0.0:
-        raise DomainError(f"zero_mode requires x > 0, got {x!r}")
+    _check_args("zero_mode", ("x", x, 0.0))
     return ord_.alpha * x ** (ord_.alpha - 1.0) / (ord_.b_norm * math.gamma(ord_.alpha))
 
 

@@ -64,6 +64,12 @@ class FracOrder:
             raise DomainError(f"order must lie in (0, 1], got {self.alpha!r}")
         if not (0.0 < self.b_norm < math.inf):
             raise DomainError(f"normalization must be positive and finite, got {self.b_norm!r}")
+        # 1/B weighs the ML-kernel integral, B/(1-alpha) the ML-kernel derivatives
+        scale = self.b_norm / (1.0 - self.alpha) if self.alpha < 1.0 else 1.0
+        if not (math.isfinite(1.0 / self.b_norm) and math.isfinite(scale)):
+            raise DomainError(
+                f"normalization B = {self.b_norm!r} overflows 1/B or B/(1-alpha) at alpha = {self.alpha!r}"
+            )
 
     def _kernel_alpha(self) -> float:
         """alpha, or DegenerateOrder at or above ALPHA_KERNEL_CAP."""

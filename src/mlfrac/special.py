@@ -11,7 +11,7 @@ past the overflow point of Gamma itself.  Each ratio is computed as the
 loop reads it, so a sum costs only its own terms.  ``ml_eval`` sums them in
 one loop.  ``ml_value``, the operators' kernel, sums per quarter-octave |z|
 band and sign of z the terms the loop needs at the band's outer edge,
-re-expanded once about a point of the band into about ten coefficients, by
+re-expanded once about the band's midpoint into about ten coefficients, by
 Horner's rule, and hands z to the loop where that sum falls below the
 band's floor (see :func:`_plan`; the last 8,192 plans are all it keeps).
 One cancellation rule serves both: a value has lost its digits iff eps
@@ -201,13 +201,10 @@ def _plan(rho: float, mu: float, gamma_p: float, band: int, negative: bool) -> t
     the loop needs at the edge, re-expanded about z_c by repeated synthetic
     division (pass k gives the Taylor coefficient d_k) until two consecutive
     |d_k| delta^k, delta the reach from z_c, are below 1e-17 of the floor.
-    ml_value accepts a sum iff |value| >= floor.  In general z_c is the
-    band's midpoint and floor = max(|c_n| edge^n / 1e-16, max_term /
+    ml_value accepts a sum iff |value| >= floor.  z_c is the band's
+    midpoint and floor = max(|c_n| edge^n / 1e-16, max_term /
     _CANCEL_LIMIT): there the first omitted term and the largest term, both
-    at the edge, pass the loop's stop rule and its cancellation bound.  For
-    z > 0 with every ratio > 0 nothing cancels and each term's share of the
-    sum grows with z, so the edge passing passes the whole band: z_c = lo,
-    about which every d_k is positive, and floor is the value at lo.  The
+    at the edge, pass the loop's stop rule and its cancellation bound.  The
     empty plan () sends the band to the loop: a negative-integer gamma_p, a
     loop that raises at the edge, or an edge where z^n, a coefficient or a
     Horner partial sum could leave the normal float range, so that ml_value
@@ -221,17 +218,12 @@ def _plan(rho: float, mu: float, gamma_p: float, band: int, negative: bool) -> t
         _, n, max_term = _sum_series(rho, mu, gamma_p, -edge if negative else edge, loop_ratios)
     except ConvergenceError:
         return ()
-    head = list(islice(ratios, n))
-    coeffs = list(accumulate(head, operator.mul, initial=math.exp(-math.lgamma(mu))))
+    coeffs = list(accumulate(islice(ratios, n), operator.mul, initial=math.exp(-math.lgamma(mu))))
     if not (n * math.log(edge) < 700.0 and n * max_term < 1e300 and 1e-290 < min(map(abs, coeffs))):
         return ()
     floor = max(abs(coeffs.pop()) * edge**n / _REL_STOP, max_term / _CANCEL_LIMIT)
     lo = 0.0 if band == _FLOOR_BAND else 2.0 ** (band / 4)
-    if not negative and min(head) > 0.0:
-        floor = math.fsum(c * lo**k for k, c in enumerate(coeffs))
-        delta, centre = edge - lo, lo
-    else:
-        delta, centre = (edge - lo) / 2, (edge + lo) / (-2 if negative else 2)
+    delta, centre = (edge - lo) / 2, (edge + lo) / (-2 if negative else 2)
     tiny = False
     for j in range(n):  # pass j leaves d_j in coeffs[j]
         for k in range(n - 2, j - 1, -1):
@@ -251,14 +243,13 @@ def ml_value(rho: float, mu: float, gamma_p: float, z: float) -> float:
     """Series value, for the operator kernels' hot loops.
 
     Sums the plan of z's quarter-octave |z| band (see :func:`_plan`), about
-    ten coefficients of the series re-expanded about a point z_c of the
-    band, by Horner's rule in z - z_c; a band's first call builds its plan
+    ten coefficients of the series re-expanded about the band's midpoint
+    z_c, by Horner's rule in z - z_c; a band's first call builds its plan
     from the terms it needs.  The loop answers instead where the sum is
     below the band's floor: where the first omitted term or the largest
     term, both taken at the band's outer edge, breaks the loop's stop rule
-    or its cancellation bound for that sum, or, for z > 0 with every term
-    positive, where it is below the sum at the band's inner edge; so the
-    loop decides every refusal.
+    or its cancellation bound for that sum; so the loop decides every
+    refusal.
     Raises ConvergenceError where cancellation may have cost more than 1e-6
     of the value: eps times the largest term exceeds that, the bound at
     which :func:`ml_eval` sets ``precision_flag``."""

@@ -272,6 +272,19 @@ class TestGridCommands:
         assert p.returncode == 3 and p.stdout == ""
         assert "positive and finite" in p.stderr
 
+    @pytest.mark.parametrize("argv", [
+        ("integ", "--op", "ab-left", "--alpha", "0.5", "--B", "1e-310", "--fn", "x", "--grid", "3"),
+        ("deriv", "--op", "abc-left", "--alpha", "0.5", "--B", "1e308", "--fn", "x", "--grid", "3"),
+        ("solve-el", "--problem", "free-particle", "--alpha", "0.5", "--B", "1e-310"),
+    ], ids=["integ-tiny", "deriv-huge", "solve-el-tiny"])
+    def test_normalization_whose_factors_overflow_is_numeric_error(self, argv):
+        # 1/B or B/(1-alpha) is inf at these B: refused before any sample, with no numpy warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            p = mlfrac(*argv)
+        assert p.returncode == 3 and p.stdout == ""
+        assert "normalization B" in p.stderr and "Traceback" not in p.stderr
+
     def test_order_too_close_to_zero_is_numeric_error(self):
         # unresolvable by the graded quadrature: unchecked, rl-left at 1e-4 would
         # print 0.49999419934573014 at t = 0.5 against the true 0.4999442049252375

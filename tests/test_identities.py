@@ -273,8 +273,9 @@ class TestZeroMode:
             assert abs(zero_mode(o, float(x)) - 1.0) <= 5e-3
 
     def test_domain(self):
-        with pytest.raises(DomainError):
-            zero_mode(HALF, 0.0)
+        for x in (0.0, math.nan, math.inf):
+            with pytest.raises(DomainError):
+                zero_mode(HALF, x)
 
     def test_vanishing_derivative_scaling(self):
         # closed-form derivative of the truncated eigenfunction scales like

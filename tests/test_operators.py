@@ -57,7 +57,7 @@ class TestFracOrder:
             FracOrder(0.0)
         with pytest.raises(DomainError):
             FracOrder(1.2)
-        for b_norm in (0.0, math.inf, math.nan):
+        for b_norm in (0.0, math.inf, math.nan, 1e-310, 1e308):
             with pytest.raises(DomainError):
                 FracOrder(0.5, b_norm=b_norm)
 

@@ -245,13 +245,15 @@ def _mp_series(rho, mu, z):
             k += 1
 
 
+@pytest.mark.parametrize("sign", [-1.0, 1.0], ids=["z<=0", "z>=0"])
 @pytest.mark.parametrize("alpha, z_max", [(0.25, 0.34), (0.5, 1.0), (0.75, 3.0), (0.9, 9.0)])
-def test_ml_value_against_a_50_digit_series(alpha, z_max):
-    # the kernel-grid ranges: |z| up to alpha / (1 - alpha) on [0, 1]
+def test_ml_value_against_a_50_digit_series(alpha, z_max, sign):
+    # the kernel-grid ranges: |z| up to alpha / (1 - alpha) on [0, 1], and
+    # their mirror, where the same midpoint plans hold for z > 0
     worst = {"value": 0.0, "loop": 0.0}
     for mu in (alpha, 1.0):
         for i in range(61):
-            z = -z_max * i / 60
+            z = sign * z_max * i / 60
             exact = _mp_series(alpha, mu, z)
             r = ml_eval(MLParams(alpha, mu), z)
             got = ml_value(alpha, mu, 1.0, z)
@@ -455,11 +457,13 @@ def _loop_calls(zs):
 
 
 def test_positive_bands_send_few_values_to_the_loop():
-    # every coefficient is positive there, so a plan answers its whole band;
-    # with the floor of z < 0 the loop took 728 of these 1,600 values.  The
-    # rest raise in the loop (253, alpha = 0.25 from z of about 4) or sit in
-    # bands where z^n or a coefficient leaves the float range (155: alpha =
-    # 0.25 from z of about 2.8, alpha = 0.5 from z = 8).
+    # one midpoint rule on both sides of 0: the loop takes 728 of these 1,600
+    # values.  408 sit in bands with no plan, because the loop raises at the
+    # edge or z^n or a coefficient leaves the float range there: 253 raise in
+    # the loop (alpha = 0.25 from z of about 4), and it answers 155 (alpha =
+    # 0.25 from z of about 2.8, alpha = 0.5 from z = 8).  The other 320 fall
+    # below their band's floor, which is set at the band's outer edge, where
+    # every term is positive and the value is largest.
     zs = [1.0 + 9.0 * i / 199 for i in range(200)]
-    assert _loop_calls(zs) <= 410
+    assert _loop_calls(zs) == 728
     assert _loop_calls([-z for z in zs]) == 667  # negative plans are unchanged
