@@ -12,6 +12,7 @@ raises).  ``verify --tol`` sets every report's tolerance.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -241,13 +242,7 @@ def _eval_grid(op, a: float, b: float, n: int) -> GridFunction:
 def _run_ml(args: argparse.Namespace) -> int:
     result = ml_eval(MLParams(args.rho, args.mu, args.gamma), args.z)
     if args.format == "json":
-        payload = {
-            "value": result.value,
-            "terms_used": result.terms_used,
-            "max_term_magnitude": result.max_term_magnitude,
-            "precision_flag": result.precision_flag,
-        }
-        _emit(_json_text(payload), args.out)
+        _emit(_json_text(dataclasses.asdict(result)), args.out)
     else:
         _emit(f"{result.value:.17g}\n", args.out)
     if result.precision_flag:

@@ -23,6 +23,7 @@ and is not checked.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -43,7 +44,7 @@ from .operators import (
 from .quadrature import DEFAULT_QUAD, QuadConfig, RealFunction, power_quad
 # unused here, but bench/tracing.py patches identities.adaptive_gl
 from .quadrature import adaptive_gl  # noqa: F401
-from .special import MLParams, ml_one, ml_value
+from .special import MLParams, ml_value
 
 #: Report tolerance of the operator checks; convolution and diff-formula keep their own.
 DEFAULT_TOL = 1e-5
@@ -232,7 +233,7 @@ def verify_caputo_rl_relation(
         lhs = [abc_derivative(side, f, ord_, t, _TIGHT) for t in ts]
         rhs = [
             abr_derivative_kernel_diff(side, f, ord_, t, _TIGHT, h=h)
-            - scale * anchor_val * ml_one(ord_.alpha, lam * abs(t - anchor) ** ord_.alpha)
+            - scale * anchor_val * ml_value(ord_.alpha, 1.0, 1.0, lam * abs(t - anchor) ** ord_.alpha)
             for t in ts
         ]
         return lhs, rhs
@@ -326,9 +327,15 @@ def verify_diff_formula(
 
 def zero_mode(ord_: FracOrder, x: float) -> float:
     """The nonzero function annihilated (in the vanishing-parameter limit) by
-    both ML-kernel derivatives: alpha x^(alpha-1) / (B(alpha) Gamma(alpha))."""
+    both ML-kernel derivatives: alpha x^(alpha-1) / (B(alpha) Gamma(alpha)).
+    DomainError where that leaves the float range (x = B = 1e-300 at alpha = 0.5)."""
     _check_args("zero_mode", ("x", x, 0.0))
-    return ord_.alpha * x ** (ord_.alpha - 1.0) / (ord_.b_norm * math.gamma(ord_.alpha))
+    alpha, b_norm = ord_.alpha, ord_.b_norm
+    with contextlib.suppress(OverflowError):  # x^(alpha-1) of a subnormal x raises it
+        value = alpha * x ** (alpha - 1.0) / (b_norm * math.gamma(alpha))
+        if value < math.inf:
+            return value
+    raise DomainError(f"zero_mode overflows the float range at alpha = {alpha!r}, B = {b_norm!r}, x = {x!r}")
 
 
 def ml_eigen_closed(kind: str, sigma: float, nu: float, ord_: FracOrder, x: float) -> float:

@@ -25,7 +25,7 @@ from .errors import DegenerateOrder, DomainError, SingularityError
 from .quadrature import DEFAULT_QUAD, QuadConfig, RealFunction, central_diff, power_quad
 # unused here, but bench/tracing.py patches operators.adaptive_gl
 from .quadrature import adaptive_gl  # noqa: F401
-from .special import MLParams, ml_one, ml_value
+from .special import MLParams, ml_value
 
 #: FracOrder.lam and .scale, so every ML-kernel operator, reject orders at or
 #: above this value: the kernel rate would push series arguments out of their domain.
@@ -113,8 +113,10 @@ class GridFunction:
     singular: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        if not (-math.inf < self.a < self.b < math.inf):
-            raise DomainError(f"GridFunction needs finite a < b, got [{self.a!r}, {self.b!r}]")
+        if not 0.0 < self.b - self.a < math.inf:  # false for a nan or infinite end, too
+            raise DomainError(f"GridFunction needs finite a < b and b - a, got [{self.a!r}, {self.b!r}]")
+        if not isinstance(self.n, (int, np.integer)) or isinstance(self.n, bool):
+            raise DomainError(f"GridFunction n must be an integer, got {self.n!r}")
         if self.n < 2:
             raise DomainError(f"GridFunction needs n >= 2, got {self.n}")
         vals = np.asarray(self.values, dtype=float)
@@ -171,7 +173,8 @@ def ab_integral(
 ) -> float:
     """Weighted identity plus RL integral: ((1-a)/B) f + (a/B) I^a f."""
     w0, w1 = ord_.ab_weights
-    return w0 * f.fn(t) + w1 * rl_integral(side, f, ord_, t, cfg)
+    rl = rl_integral(side, f, ord_, t, cfg)  # first, so that a t outside [a, b] meets its check
+    return w0 * f.fn(t) + w1 * rl
 
 
 def abr_derivative(
@@ -196,7 +199,7 @@ def abc_derivative(
     if t == anchor:
         return 0.0
     rl_type = abr_derivative(side, f, ord_, t, cfg)
-    kernel = ml_one(ord_.alpha, lam * abs(t - anchor) ** ord_.alpha)
+    kernel = ml_value(ord_.alpha, 1.0, 1.0, lam * abs(t - anchor) ** ord_.alpha)
     return rl_type - ord_.scale * f.fn(anchor) * kernel
 
 
@@ -229,7 +232,7 @@ def abr_derivative_kernel_diff(
     anchor, sign = side.anchor(f), side.sign
 
     def kernel_integral(tau: float) -> float:
-        return power_quad(f.fn, anchor, tau, 1.0, alpha, cfg, lambda z: ml_one(alpha, lam * z),
+        return power_quad(f.fn, anchor, tau, 1.0, alpha, cfg, lambda z: ml_value(alpha, 1.0, 1.0, lam * z),
                           breaks=f.breaks, cusp=(anchor, alpha))
 
     return sign * scale * (kernel_integral(t + h) - kernel_integral(t - h)) / (2.0 * h)

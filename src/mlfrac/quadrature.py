@@ -75,8 +75,8 @@ class RealFunction:
     cusp: tuple[float, float] | None = None
 
     def __post_init__(self) -> None:
-        if not (-math.inf < self.a < self.b < math.inf):
-            raise DomainError(f"RealFunction needs finite a < b, got [{self.a!r}, {self.b!r}]")
+        if not 0.0 < self.b - self.a < math.inf:  # false for a nan or infinite end, too
+            raise DomainError(f"RealFunction needs finite a < b and b - a, got [{self.a!r}, {self.b!r}]")
         if self.cusp is not None and not (self.cusp[0] in (self.a, self.b) and 0.0 < self.cusp[1] < math.inf):
             raise DomainError(f"RealFunction cusp (c, rho) needs c = a or b, finite rho > 0, got {self.cusp!r}")
 
@@ -125,10 +125,10 @@ def adaptive_gl(
 ) -> float:
     """Integrate f over [lo, hi] to max(abs_tol, rel_tol * |result|)."""
     cfg = cfg or DEFAULT_QUAD
+    if not 0.0 <= hi - lo < math.inf:  # false for a nan or infinite end, too
+        raise DomainError(f"adaptive_gl needs finite lo <= hi and hi - lo, got [{lo!r}, {hi!r}]")
     if lo == hi:
         return 0.0
-    if lo > hi:
-        raise DomainError(f"adaptive_gl needs lo <= hi, got [{lo!r}, {hi!r}]")
 
     value, err = _eval_panel(f, lo, hi)
     # heap entries: (-err, seq, lo, hi, depth, value, err)

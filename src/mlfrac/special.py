@@ -8,15 +8,16 @@ is the kernel of every nonlocal operator in this package.  Terms are
 generated by a ratio recurrence whose gamma factors are evaluated as
 log-gamma differences, so the series stays in floating-point range far
 past the overflow point of Gamma itself.  Each ratio is computed as the
-loop reads it, so a sum costs only its own terms.  ``ml_eval`` sums them in
-one loop.  ``ml_value``, the operators' kernel, sums per quarter-octave |z|
-band and sign of z the terms the loop needs at the band's outer edge,
-re-expanded once about the band's midpoint into about ten coefficients, by
-Horner's rule, and hands z to the loop where that sum falls below the
-band's floor (see :func:`_plan`; the last 8,192 plans are all it keeps).
-One cancellation rule serves both: a value has lost its digits iff eps
-times the largest term exceeds 1e-6 of it, where ``ml_eval`` sets
-``precision_flag`` and ``ml_value`` raises.
+loop reads it, so a sum costs only its own terms.  One loop,
+:func:`_sum_series`, sums them and returns a :class:`SeriesResult` with the
+cancellation verdict: a value has lost its digits iff eps times the largest
+term exceeds 1e-6 of it.  ``ml_eval`` returns that result.  ``ml_value``,
+the operators' kernel, sums per quarter-octave |z| band and sign of z the
+terms the loop needs at the band's outer edge, re-expanded once about the
+band's midpoint into about ten coefficients, by Horner's rule, and hands z
+to the loop where that sum falls below the band's floor (see :func:`_plan`;
+the last 8,192 plans are all it keeps); it raises where the loop sets the
+verdict.
 
 ``exp_sum_kernel`` gives the operator kernel E_alpha(lam s^alpha), lam < 0,
 as an exact sum of decaying exponentials instead.  For 0 < alpha < 1 the
@@ -106,11 +107,11 @@ def _check_params(owner: str, rho: float, mu: float, gamma_p: float) -> None:
 
 @dataclass(frozen=True)
 class SeriesResult:
-    """Outcome of one series summation.
+    """Outcome of one series summation, built only by :func:`_sum_series`'s loop.
 
-    ``precision_flag`` is set iff eps times the largest term magnitude exceeds
-    1e-6 of the value: cancellation may have cost more than 1e-6 of it, and
-    :func:`ml_value` raises there.
+    ``precision_flag``, set there, is true iff eps times the largest term
+    magnitude exceeds 1e-6 of the value: cancellation may have cost more than
+    1e-6 of it, and :func:`ml_value` raises there.
     """
 
     value: float
@@ -135,9 +136,11 @@ def _ratios(rho: float, mu: float, gamma_p: float) -> Iterator[float]:
 
 
 def _sum_series(rho: float, mu: float, gamma_p: float, z: float,
-                ratios: Iterator[float] | None = None) -> tuple[float, int, float]:
-    """(value, terms used, largest term magnitude) of the series at z, summed
-    over ratios, by default a fresh :func:`_ratios` stream."""
+                ratios: Iterator[float] | None = None) -> SeriesResult:
+    """The series at z, summed over ratios, by default a fresh :func:`_ratios`
+    stream, and its cancellation verdict: the one place ``precision_flag`` is set.
+    Stops after two consecutive terms below 1e-16 of the partial sum; raises
+    ConvergenceError if the sum overflows or the term cap is reached first."""
     ratios = _ratios(rho, mu, gamma_p) if ratios is None else ratios
     isfinite, stop = math.isfinite, _REL_STOP
     term = math.exp(-math.lgamma(mu))
@@ -158,22 +161,23 @@ def _sum_series(rho: float, mu: float, gamma_p: float, z: float,
         # stop after two consecutive terms below 1e-16 of the sum
         if a < stop * abs(total) or a == 0.0:
             if tiny:
-                return total, k + 1, max_term
+                break
             tiny = True
         else:
             tiny = False
-    if next(ratios, None) is None:  # a truncated series ended
-        return total, k + 1, max_term
-    raise ConvergenceError(
-        f"Mittag-Leffler series did not converge within {TERM_CAP} terms "
-        f"(rho={rho:g}, mu={mu:g}, gamma={gamma_p:g}, z={z:g})"
-    )
+    else:
+        if next(ratios, None) is not None:  # only a truncated series may end here
+            raise ConvergenceError(
+                f"Mittag-Leffler series did not converge within {TERM_CAP} terms "
+                f"(rho={rho:g}, mu={mu:g}, gamma={gamma_p:g}, z={z:g})"
+            )
+    return SeriesResult(total, k + 1, max_term, max_term > _CANCEL_LIMIT * abs(total))
 
 
 def ml_eval(p: MLParams, z: float) -> SeriesResult:
-    """Evaluate the generalized Mittag-Leffler function at real z.
+    """Evaluate the generalized Mittag-Leffler function at real z: the
+    result of :func:`_sum_series`, whose loop sets ``precision_flag``.
 
-    Stops after two consecutive terms below 1e-16 of the partial sum.
     Raises :class:`DomainError` for |z| > 100 and :class:`ConvergenceError`
     if the term cap is reached first.  A value that lost its digits to
     cancellation comes back with ``precision_flag`` set.
@@ -181,13 +185,7 @@ def ml_eval(p: MLParams, z: float) -> SeriesResult:
     z = float(z)
     if not math.isfinite(z) or abs(z) > Z_MAX:
         raise DomainError(f"ml_eval working domain is |z| <= {Z_MAX:g}, got z={z!r}")
-    value, used, max_term = _sum_series(p.rho, p.mu, p.gamma_p, z)
-    return SeriesResult(
-        value=value,
-        terms_used=used,
-        max_term_magnitude=max_term,
-        precision_flag=max_term > _CANCEL_LIMIT * abs(value),
-    )
+    return _sum_series(p.rho, p.mu, p.gamma_p, z)
 
 
 _FLOOR_BAND = -105  # every |z| < 2^-26 shares this band: two or three terms
@@ -215,9 +213,10 @@ def _plan(rho: float, mu: float, gamma_p: float, band: int, negative: bool) -> t
         return ()
     edge = min(2.0 ** ((band + 1) / 4), Z_MAX)
     try:
-        _, n, max_term = _sum_series(rho, mu, gamma_p, -edge if negative else edge, loop_ratios)
+        at_edge = _sum_series(rho, mu, gamma_p, -edge if negative else edge, loop_ratios)
     except ConvergenceError:
         return ()
+    n, max_term = at_edge.terms_used, at_edge.max_term_magnitude
     coeffs = list(accumulate(islice(ratios, n), operator.mul, initial=math.exp(-math.lgamma(mu))))
     if not (n * math.log(edge) < 700.0 and n * max_term < 1e300 and 1e-290 < min(map(abs, coeffs))):
         return ()
@@ -250,9 +249,8 @@ def ml_value(rho: float, mu: float, gamma_p: float, z: float) -> float:
     term, both taken at the band's outer edge, breaks the loop's stop rule
     or its cancellation bound for that sum; so the loop decides every
     refusal.
-    Raises ConvergenceError where cancellation may have cost more than 1e-6
-    of the value: eps times the largest term exceeds that, the bound at
-    which :func:`ml_eval` sets ``precision_flag``."""
+    Raises ConvergenceError where the loop sets ``precision_flag``:
+    cancellation may have cost more than 1e-6 of the value."""
     z = float(z)
     az = abs(z)
     if not az <= Z_MAX:  # also rejects nan
@@ -267,18 +265,13 @@ def ml_value(rho: float, mu: float, gamma_p: float, z: float) -> float:
             value = value * u + c
         if abs(value) >= floor:
             return value
-    value, _, max_term = _sum_series(rho, mu, gamma_p, z)
-    if max_term > _CANCEL_LIMIT * abs(value):
+    r = _sum_series(rho, mu, gamma_p, z)
+    if r.precision_flag:
         raise ConvergenceError(
-            f"Mittag-Leffler series lost its digits to cancellation: value {value:.3g}, largest "
-            f"term {max_term:.3g} (rho={rho:g}, mu={mu:g}, gamma={gamma_p:g}, z={z:g})"
+            f"Mittag-Leffler series lost its digits to cancellation: value {r.value:.3g}, largest "
+            f"term {r.max_term_magnitude:.3g} (rho={rho:g}, mu={mu:g}, gamma={gamma_p:g}, z={z:g})"
         )
-    return value
-
-
-def ml_one(alpha: float, z: float) -> float:
-    """Classical one-parameter Mittag-Leffler E_alpha(z)."""
-    return ml_value(alpha, 1.0, 1.0, z)
+    return r.value
 
 
 _GK_X, _GK_K, _GK_G = np.array(sorted(_GK15)).T

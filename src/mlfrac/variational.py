@@ -133,7 +133,8 @@ def solve_free_particle(
     The mode is unbounded at t = 0 for alpha < 1 while the boundary condition
     still assigns y(0) = y0; the first sample reports y0 and is flagged
     singular so the tension stays visible.  ``amplitude`` scales the singular
-    mode; the worked solution uses 1.
+    mode; the worked solution uses 1.  A sample that overflows the float range
+    raises DomainError before the grid is built.
     """
     if not (0.0 < b < math.inf and math.isfinite(y0) and math.isfinite(amplitude)):
         raise DomainError(
@@ -141,8 +142,14 @@ def solve_free_particle(
             f"got b={b!r}, y0={y0!r}, amplitude={amplitude!r}"
         )
     n, alpha = (cfg or DEFAULT_SOLVER).grid_n, ord_.alpha
-    mode = alpha * np.linspace(0.0, b, n + 1)[1:] ** (alpha - 1.0) / (ord_.b_norm * math.gamma(alpha))
-    values = np.concatenate(([y0], y0 + amplitude * mode))
+    with np.errstate(all="ignore"):  # an overflow is refused below, by name
+        mode = alpha * np.linspace(0.0, b, n + 1)[1:] ** (alpha - 1.0) / (ord_.b_norm * math.gamma(alpha))
+        values = np.concatenate(([y0], y0 + amplitude * mode))
+    if not np.all(np.isfinite(values)):
+        raise DomainError(
+            f"solve_free_particle overflows the float range: y0 + A alpha t^(alpha-1) / (B Gamma(alpha)) "
+            f"at alpha={alpha!r}, B={ord_.b_norm!r}, b={b!r}, y0={y0!r}, amplitude={amplitude!r}"
+        )
     return GridFunction(a=0.0, b=b, n=n, values=values, singular=(0,) if alpha < 1.0 else ())
 
 

@@ -285,6 +285,13 @@ class TestGridCommands:
         assert p.returncode == 3 and p.stdout == ""
         assert "normalization B" in p.stderr and "Traceback" not in p.stderr
 
+    @pytest.mark.parametrize("flag, value", [("--B", "1e-308"), ("--amplitude", "1e308")])
+    def test_free_particle_overflow_is_numeric_error(self, flag, value):
+        # a child interpreter, so that a numpy RuntimeWarning would reach its stderr
+        p = _python_m_mlfrac("solve-el", "--problem", "free-particle", "--alpha", "0.5", flag, value)
+        assert p.returncode == 3 and p.stdout == ""
+        assert "overflows the float range" in p.stderr and "RuntimeWarning" not in p.stderr
+
     def test_order_too_close_to_zero_is_numeric_error(self):
         # unresolvable by the graded quadrature: unchecked, rl-left at 1e-4 would
         # print 0.49999419934573014 at t = 0.5 against the true 0.4999442049252375

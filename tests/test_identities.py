@@ -21,7 +21,7 @@ from mlfrac.identities import (
 )
 from mlfrac.operators import FracOrder, Side, abc_derivative, abr_derivative
 from mlfrac.quadrature import QuadConfig, RealFunction
-from mlfrac.special import ml_one, ml_value
+from mlfrac.special import ml_value
 
 HALF = FracOrder(0.5, 1.0)
 GOLDEN = 1.0 / 12.0 + 8.0 / (105.0 * math.sqrt(math.pi))
@@ -277,6 +277,12 @@ class TestZeroMode:
             with pytest.raises(DomainError):
                 zero_mode(HALF, x)
 
+    def test_overflow_is_refused(self):
+        # alpha x^(alpha-1) / (B Gamma(alpha)) leaves the float range though B and x pass
+        for ord_, x in ((FracOrder(0.5, 1e-300), 1e-300), (FracOrder(0.01), 5e-324)):
+            with pytest.raises(DomainError, match="overflows"):
+                zero_mode(ord_, x)
+
     def test_vanishing_derivative_scaling(self):
         # closed-form derivative of the truncated eigenfunction scales like
         # 1/Gamma(nu): each decade in nu shrinks the sup by ~10x
@@ -341,7 +347,7 @@ class TestEigenClosed:
         )
         for x in (0.2, 0.6, 1.0):
             closed = ml_eigen_closed("ABC", 1.0, 1.0, HALF, x)
-            boundary = 2.0 * 1.0 * ml_one(0.5, lam * x**0.5)
+            boundary = 2.0 * 1.0 * ml_value(0.5, 1.0, 1.0, lam * x**0.5)
             got_abc = abc_derivative(Side.Left, f, HALF, x, cfg)
             got_abr = abr_derivative(Side.Left, f, HALF, x, cfg)
             assert abs(got_abc - (closed - boundary)) <= 1e-6

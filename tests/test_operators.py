@@ -26,7 +26,7 @@ from mlfrac.operators import (
     rl_integral,
 )
 from mlfrac.quadrature import QuadConfig, RealFunction, adaptive_gl
-from mlfrac.special import MLParams, ml_one, ml_value
+from mlfrac.special import MLParams, ml_value
 
 HALF = FracOrder(0.5, 1.0)
 CFG8 = QuadConfig(abs_tol=1e-8, rel_tol=1e-8)
@@ -95,9 +95,16 @@ class TestGridFunction:
                 GridFunction(0.0, 1.0, 4, np.arange(5.0), singular=bad)
         g = GridFunction(0.0, 1.0, 4, np.array([0, 1, math.inf, 3, 4.0]), singular=(np.int64(2),))
         assert g.singular == (2,)
-        for a, b in ((0.0, math.inf), (-math.inf, 0.0), (math.nan, 1.0)):
-            with pytest.raises(DomainError, match="finite a < b"):
+        for a, b in ((0.0, math.inf), (-math.inf, 0.0), (math.nan, 1.0), (-1e308, 1e308)):
+            with pytest.raises(DomainError, match="finite a < b and b - a"):
                 GridFunction(a, b, 4, np.zeros(5))
+
+    def test_n_must_be_an_integer(self):
+        # a float n raised numpy's TypeError; bool is refused as SolverConfig refuses it
+        for n in (2.0, True, "2"):
+            with pytest.raises(DomainError, match="n must be an integer"):
+                GridFunction(0.0, 1.0, n, [0.0, 1.0, 2.0])
+        assert GridFunction(0.0, 1.0, np.int64(2), [0.0, 1.0, 2.0]).n == 2
 
     def test_interpolant(self):
         vals = np.array([0.0, 1.0, 4.0, 9.0, 16.0])
@@ -155,6 +162,13 @@ class TestAbIntegral:
     def test_alpha_one_rejected(self):
         with pytest.raises(DegenerateOrder):
             ab_integral(Side.Left, X, FracOrder(1.0), 0.5)
+
+    def test_point_outside_the_interval_is_checked_before_f(self):
+        # f(2) is sqrt(-1): the operand must not be read at a t the RL part refuses
+        f = to_real_function(parse_expr("sqrt(1-x)"), 0.0, 1.0)
+        for op in (ab_integral, rl_integral):
+            with pytest.raises(DomainError, match="outside"):
+                op(Side.Left, f, HALF, 2.0)
 
     def test_overflowing_operand_is_a_domain_error(self):
         f = to_real_function(parse_expr("exp(1000*x)"), 0.0, 1.0)
@@ -221,7 +235,7 @@ class TestAbrDerivative:
         c = rf(lambda x: 3.0, deriv=lambda x: 0.0)
         for t in (0.0, 0.5, 1.0):
             got = abr_derivative(Side.Left, c, HALF, t)
-            want = 2.0 * 3.0 * ml_one(0.5, -(t**0.5))
+            want = 2.0 * 3.0 * ml_value(0.5, 1.0, 1.0, -(t**0.5))
             assert abs(got - want) <= 1e-10
 
     def test_inverse_of_ab_integral_golden(self):
@@ -543,7 +557,7 @@ def test_abc_of_a_constant_is_zero(case, c):
 def test_abr_of_one_is_the_scaled_kernel(case):
     side, o, a, b, t, scale, dist = _by_parts_setup(case)
     f = rf(lambda x: 1.0, a, b, deriv=_no_derivative)
-    want = scale * ml_one(o.alpha, o.lam * dist**o.alpha)
+    want = scale * ml_value(o.alpha, 1.0, 1.0, o.lam * dist**o.alpha)
     assert abs(abr_derivative(side, f, o, t) - want) <= 1e-10 * scale
 
 

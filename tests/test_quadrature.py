@@ -53,6 +53,15 @@ def test_empty_and_reversed_range():
         adaptive_gl(lambda x: 1.0, 1.0, 0.0)
 
 
+@pytest.mark.parametrize("lo, hi", [
+    (0.0, math.inf), (0.0, math.nan), (math.nan, 0.0), (-math.inf, 0.0), (math.inf, math.inf), (-1e308, 1e308),
+])
+def test_non_finite_bounds_or_width_are_refused(lo, hi):
+    # each returned nan or inf with no error; the last one's width overflows
+    with pytest.raises(DomainError, match="finite lo <= hi and hi - lo"):
+        adaptive_gl(lambda x: 1.0, lo, hi)
+
+
 def test_linearity_on_random_polynomials():
     rng = random.Random(7)
     for _ in range(10):
@@ -184,8 +193,9 @@ def test_grading_power_above_the_cap_is_a_domain_error():
 
 
 def test_real_function_needs_a_finite_interval():
-    for a, b in ((0.0, math.inf), (-math.inf, 0.0), (0.0, math.nan), (1.0, 1.0)):
-        with pytest.raises(DomainError, match="finite a < b"):
+    # b - a of the last one overflows: rl_integral at t = 1e308 returned inf, not about 1.6e154
+    for a, b in ((0.0, math.inf), (-math.inf, 0.0), (0.0, math.nan), (1.0, 1.0), (-1e308, 1e308)):
+        with pytest.raises(DomainError, match="finite a < b and b - a"):
             RealFunction(fn=lambda s: 1.0, a=a, b=b)
 
 

@@ -10,7 +10,7 @@ import pytest
 
 from mlfrac import quadrature, special
 from mlfrac.errors import ConvergenceError, DomainError, MlfracError, PoleError
-from mlfrac.special import TERM_CAP, MLParams, gamma_fn, ml_eval, ml_one, ml_value
+from mlfrac.special import TERM_CAP, MLParams, gamma_fn, ml_eval, ml_value
 
 EPS = 2.0**-52
 
@@ -120,8 +120,7 @@ def test_ml_domain_and_convergence_errors():
         # slowly growing terms exhaust the 2000-term cap before converging
         ml_eval(MLParams(0.005, 1.0, 1.0), 1.05)
     # nan is outside the domain too, for the bare value as for ml_eval
-    for evaluate in (lambda z: ml_eval(MLParams(0.5, 1.0, 1.0), z), lambda z: ml_value(0.5, 1.0, 1.0, z),
-                     lambda z: ml_one(0.5, z)):
+    for evaluate in (lambda z: ml_eval(MLParams(0.5, 1.0, 1.0), z), lambda z: ml_value(0.5, 1.0, 1.0, z)):
         with pytest.raises(DomainError, match="working domain"):
             evaluate(math.nan)
     with pytest.raises(DomainError):

@@ -102,6 +102,13 @@ class TestFreeParticle:
             with pytest.raises(DomainError, match="finite"):
                 solve_free_particle(HALF, y0, b, SolverConfig(grid_n=8), amplitude)
 
+    def test_overflowing_mode_is_refused(self):
+        # numpy warned of the overflow, and the grid then refused a "non-finite sample"
+        # at the default 200 cells: the divide, the multiply and then the add overflow
+        for ord_, y0, amplitude in ((FracOrder(0.5, 1e-308), 0.0, 1.0), (HALF, 0.0, 1e308), (HALF, 1.5e308, 1e307)):
+            with pytest.raises(DomainError, match="overflows"):
+                solve_free_particle(ord_, y0, 1.0, amplitude=amplitude)
+
 
 class TestElResidual:
     def test_constant_trajectory(self):
